@@ -49,9 +49,8 @@ compositions, plus (since the sparse-chain pass):
 * **step_capture** (since the step-capture pass) — captured vs. uncaptured
   training steps for the dense, oracle-sparse and predicted configurations:
   the buffer arena recycles every op's output/temporary buffers across steps
-  (allocations/step must read ~0 at steady state) and the backward replays
-  the recorded tape schedule instead of re-sorting the graph, with a
-  shape-change probe asserting exactly one re-capture.  Acceptance bars:
+  (allocations/step must read ~0 at steady state), with a shape-change
+  probe asserting exactly one re-capture.  Acceptance bars:
   ``step_capture.predicted.pre_pr_speedup >= 1.15`` (captured vs the
   PR-4-form uncaptured path) with ``captured_allocs_per_step == 0``, and
   ``sparse_step.speedup >= 0.97``
@@ -83,9 +82,8 @@ acceptance bars for the perf passes are ``dense_step.speedup >= 1.5``,
 1.15`` with zero captured allocations per step, and (since the full-step
 compiler pass) ``full_step.speedup_vs_captured >= 1.15`` at threads=1 —
 the compiled steady-state step (flat forward plan + retained backward
-schedule + flat optimizer tail, zero Python graph builds) against the PR-5
-backward-only captured step, with an ``executor_threads`` 1/2/4 curve for
-the dependency-levelled forward executor (flat on a single-core worker).
+schedule + optimizer step, zero Python graph builds) against the
+arena-only captured step.
 Since the streaming-attention pass the ``long_context`` section sweeps
 seq 512..4096 three ways (materializing, streaming, streaming
 block-sparse) and reports ms/token plus the tracemalloc step peak; the
@@ -1078,7 +1076,7 @@ def bench_step_capture(repeats: int = 4, batch: int = BATCH, seq: int = SEQ,
                        interval: int = PREDICT_INTERVAL,
                        dense_model: str = DENSE_MODEL,
                        sparse_model: str = SPARSE_MODEL) -> Dict:
-    """Captured vs. uncaptured training steps (buffer arena + planned replay).
+    """Captured vs. uncaptured training steps (buffer arena).
 
     Three configurations, each driven through :class:`FineTuner` so both
     modes share the trainer/profiler overhead and differ only in capture:
@@ -1180,8 +1178,8 @@ def bench_step_capture(repeats: int = 4, batch: int = BATCH, seq: int = SEQ,
             "speedup": best[False] / best[True],
             "captured_allocs_per_step": float(capture.last_step_allocations),
             "arena_mb": capture.arena.bytes_held / 1024 ** 2,
-            "replay_steps": float(capture.replay_steps),
-            "fallbacks": float(capture.fallbacks),
+            "state_replay": float(capture.state == capture.REPLAY),
+            "recaptures": float(capture.recaptures),
         }
         if include_pre_pr:
             row["pre_pr_s"] = best["pre_pr"]
@@ -1221,9 +1219,8 @@ def bench_full_step(repeats: int = 4, batch: int = BATCH,
                     predicted_seq: int = PREDICTED_SEQ,
                     predictor_epochs: int = 30,
                     interval: int = PREDICT_INTERVAL,
-                    sparse_model: str = SPARSE_MODEL,
-                    threads_curve=(1, 2, 4)) -> Dict:
-    """Full-step compiler vs. PR-5 backward-only capture vs. interpreted.
+                    sparse_model: str = SPARSE_MODEL) -> Dict:
+    """Full-step compiler vs. arena-only capture vs. interpreted.
 
     The configuration is the production predicted regime of
     :func:`bench_step_capture` — LoRA on the sparse model at
@@ -1232,25 +1229,22 @@ def bench_full_step(repeats: int = 4, batch: int = BATCH,
     compiler targets).  Three modes, each its own tuner:
 
     * ``interpreted`` — no capture: graph built and re-sorted every step;
-    * ``captured`` — the PR-5 :class:`StepCapture` (buffer arena + planned
-      *backward* replay; the forward still builds the Python graph);
-    * ``compiled_tN`` — ``compile_full_step=True`` with
-      ``executor_threads=N`` for each N in ``threads_curve``: steady-state
-      steps replay forward + backward + optimizer tail as one flat plan of
-      kernel calls, zero graph builds.
+    * ``captured`` — :class:`StepCapture` without the compiler: the buffer
+      arena only; forward and backward still build and sort the graph;
+    * ``compiled`` — ``compile_full_step=True``: steady-state steps replay
+      forward + backward as one flat plan of kernel calls, zero graph
+      builds.
 
     Every mode is timed as windows of ``interval`` consecutive steps so the
     scheduled refresh (which the compiler must sit out — it runs interpreted
-    through the PR-5 replay) is averaged into the per-step figure fairly.
-    The acceptance bar is ``speedup_vs_captured >= 1.15`` at threads=1;
-    the threads curve documents the dependency-levelled executor (flat on a
-    single-core worker — NumPy only releases the GIL inside BLAS).
+    over the arena) is averaged into the per-step figure fairly.  The
+    acceptance bar is ``speedup_vs_captured >= 1.15``.
     """
     from repro.peft import apply_lora
     from repro.runtime import (AttentionConfig, CaptureConfig, FineTuner,
                                StepCapture, TrainingConfig)
 
-    def factory(compiled: bool, threads: int = 1, capture: bool = True):
+    def factory(compiled: bool, capture: bool = True):
         model = build_model(sparse_model, seed=0)
         rng = np.random.default_rng(0)
         calib = rng.integers(0, model.config.vocab_size,
@@ -1266,16 +1260,14 @@ def bench_full_step(repeats: int = 4, batch: int = BATCH,
         optimizer = Adam(model.trainable_parameters(), lr=1e-4)
         tuner = FineTuner(model,
                           TrainingConfig(capture=CaptureConfig(
-                              compile_full_step=compiled,
-                              executor_threads=threads)),
+                              compile_full_step=compiled)),
                           optimizer=optimizer, engine=engine,
                           capture=StepCapture() if capture else None)
         return tuner, ids
 
     modes = {"interpreted": factory(False, capture=False),
-             "captured": factory(False)}
-    for threads in threads_curve:
-        modes[f"compiled_t{threads}"] = factory(True, threads=threads)
+             "captured": factory(False),
+             "compiled": factory(True)}
 
     window = max(1, interval)
     # Warm-up spans the whole lifecycle twice over: warm-up step, capture +
@@ -1296,19 +1288,13 @@ def bench_full_step(repeats: int = 4, batch: int = BATCH,
     result: Dict = {mode: best[mode] for mode in modes}
     result = {f"{mode}_s": value for mode, value in result.items()}
     result["interval"] = float(interval)
-    result["threads_curve"] = {str(t): best[f"compiled_t{t}"]
-                               for t in threads_curve}
-    base_threads = threads_curve[0]
-    compiled_s = best[f"compiled_t{base_threads}"]
-    result["compiled_s"] = compiled_s
+    compiled_s = best["compiled"]
     result["speedup_vs_captured"] = best["captured"] / compiled_s
     result["speedup_vs_interpreted"] = best["interpreted"] / compiled_s
-    # The threads curve only means anything with cores to spread over;
-    # record the host's parallel budget so a flat curve on a single-core CI
-    # worker is evidence, not an anomaly.
+    # Record the host's parallel budget next to the timings.
     result["cpu_count"] = float(os.cpu_count() or 1)
     result["single_core"] = bool((os.cpu_count() or 1) <= 1)
-    capture = modes[f"compiled_t{base_threads}"][0].capture
+    capture = modes["compiled"][0].capture
     result["full_captures"] = float(capture.full_captures)
     result["full_replays"] = float(capture.full_replays)
     result["full_fallbacks"] = float(capture.full_fallbacks)
@@ -1856,7 +1842,7 @@ def _print_report(report: Dict) -> None:
           f"   vs PR-1 step {sparse['pre_pr_speedup']:.2f}x   "
           f"(geometry share {sparse['geometry_fraction']:.1%} of step)")
     capture = report["step_capture"]
-    print("step capture (buffer arena + planned tape replay):")
+    print("step capture (buffer arena):")
     for mode in ("dense", "oracle", "predicted"):
         row = capture[mode]
         print(f"  {mode:<9} {row['uncaptured_s'] * 1000:8.1f} -> "
@@ -1876,12 +1862,9 @@ def _print_report(report: Dict) -> None:
     print(f"full-step compiler (predicted regime, fixed batch, "
           f"interval {int(full['interval'])}):")
     print(f"  interpreted  {full['interpreted_s'] * 1000:8.1f} ms/step")
-    print(f"  captured     {full['captured_s'] * 1000:8.1f} ms/step  (PR-5)")
-    curve = "  ".join(f"t{t}={s * 1000:.1f}ms"
-                      for t, s in sorted(full["threads_curve"].items(),
-                                         key=lambda kv: int(kv[0])))
-    print(f"  compiled     {full['compiled_s'] * 1000:8.1f} ms/step   "
-          f"threads curve: {curve}")
+    print(f"  captured     {full['captured_s'] * 1000:8.1f} ms/step  "
+          f"(arena only)")
+    print(f"  compiled     {full['compiled_s'] * 1000:8.1f} ms/step")
     print(f"  vs captured {full['speedup_vs_captured']:.2f}x   "
           f"vs interpreted {full['speedup_vs_interpreted']:.2f}x   "
           f"replays {full['full_replays']:.0f}   "

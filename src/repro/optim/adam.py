@@ -303,26 +303,6 @@ class Adam(Optimizer):
             np.copyto(self._m[index], fm[lo:hi].reshape(param.data.shape))
             np.copyto(self._v[index], fv[lo:hi].reshape(param.data.shape))
 
-    def plan_tail(self):
-        """Pre-validated flat update for the full-step compiler's tail.
-
-        The compiled steady-state step guarantees every trainable parameter
-        receives a gradient, so the per-call ``all(p.grad is not None)`` scan
-        of :meth:`step` is dead work there.  Returns a closure running
-        exactly the flat update :meth:`step` would choose (bitwise-identical
-        trajectories), or None when the flat layout is not in use — the
-        caller then keeps calling :meth:`step`.
-        """
-        if self._flat_m is None:
-            return None
-
-        def tail() -> None:
-            self.step_count += 1
-            t = self.step_count
-            self._step_flat(1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t)
-
-        return tail
-
     def state_size_bytes(self) -> int:
         return int(sum(m.nbytes + v.nbytes for m, v in zip(self._m, self._v)))
 

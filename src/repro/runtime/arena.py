@@ -1,4 +1,4 @@
-"""Steady-state step capture: buffer arena + planned tape replay.
+"""Steady-state step capture: buffer arena + compiled full-step replay.
 
 PEFT fine-tuning is a steady-state workload — thousands of steps with
 bit-identical shapes — yet every step of the seed runtime rebuilt the Python
@@ -8,46 +8,39 @@ steady state, CUDA-graph-style, for the NumPy tape:
 
 1. **warm-up** — the first step(s) run exactly as before (one-time caches:
    geometry, causal masks, packed probe weights).
-2. **capture** — the next step runs with the :class:`BufferArena` installed
-   (every allocation seam takes recycled buffers; on this step they are all
-   fresh) and the tensor tape recording creation order.  The backward pass
-   runs its ordinary DFS once and records the processed schedule as a
-   :class:`~repro.tensor.tensor.TapePlan` — tape positions for interior
-   nodes, direct references for persistent leaves, plus the full parent
-   wiring for validation.
-3. **replay** — subsequent steps reuse the plan: the topological re-sort is
-   skipped (the recorded schedule is validated against the new tape with
-   cheap integer/identity checks and then executed), and every arena take
-   hits the pool, so the steady-state allocation count is zero.  The
-   replayed order *is* the recorded DFS order, so captured and uncaptured
-   execution are bitwise identical (locked by the parity suite).
+2. **capture** — the next step runs with the :class:`BufferArena` installed:
+   every allocation seam takes recycled buffers (on this step they are all
+   fresh).  With the full-step compiler armed, the same step also records
+   the forward's kernel calls into a :class:`~repro.tensor.plan.ForwardPlan`
+   and runs its backward with the graph retained, keeping the DFS schedule.
+3. **replay** — every later step keeps the arena installed, so every take
+   hits the pool and the steady-state allocation count is zero.  A compiled
+   step becomes **stage inputs → run the flat ForwardPlan → execute the
+   retained backward schedule → optimizer step**, with the Python autograd
+   graph built exactly once, at capture, and never touched during replay.
+   Every other step — mask-refresh steps, configurations the compiler
+   vetoes, ``compile_full_step=False`` — runs the ordinary interpreted
+   forward and DFS backward over the arena.  The retained schedule *is* the
+   DFS order, so all of these paths are bitwise identical to an uncaptured
+   step (locked by the parity suite).
 4. **invalidation** — a signature change (input shape/dtype, label shape,
-   fused-kernel toggle, loss scale) or a plan validation failure falls back
-   to the uncaptured path for that backward and triggers exactly one
-   re-capture, mirroring how a sequence-length change forces a predictor
-   refresh in the PR-3 scheduler.
+   kernel toggles, loss scale, the model's trainable set) drops the compiled
+   plan and triggers exactly one re-capture, mirroring how a
+   sequence-length change forces a predictor refresh in the scheduler.
 
-On top of the backward-only tape replay, the *full-step compiler* (PR 6)
-records the forward's kernel calls as well: during a captured step the
-trainer installs a :class:`~repro.tensor.plan.ForwardRecorder`, every
-instrumented op seam contributes a replay thunk over buffers bound exactly
-once, and the backward runs with ``retain_graph=True`` so its validated
-schedule survives the step.  A steady-state step then becomes **stage inputs
-→ run the flat ForwardPlan → execute the retained backward schedule →
-optimizer tail**, with the Python autograd graph built exactly once, at
-capture, and never touched during replay.  Coverage is checked (every graph
-node built must be recorded or noted as a view); any gap falls back to the
-PR-5 backward-only capture.  Full-plan buffers are plain allocations — never
-arena takes — so generation recycling cannot reclaim live plan state, and
-the backward's arena discipline (zero steady-state allocations) is
-unchanged.
+Compilation is coverage-checked: every graph node built during the captured
+forward must be recorded or noted as a view, or the compiler is vetoed for
+the current signature and its steps run interpreted.  Full-plan buffers are
+plain allocations — never arena takes — so generation recycling cannot
+reclaim live plan state, and the backward's arena discipline (zero
+steady-state allocations) is unchanged.
 
 Contract: capture mode assumes the standard training-step shape — gradients
 are consumed and zeroed within the step, and no Tensor from step ``N`` is
 read at step ``N + 1`` (the arena recycles step ``N``'s buffers wholesale).
 User-level ``retain_graph=True`` double-backwards are not supported while
 capturing (the full-step compiler's internal graph retention is not a
-double backward: each retained schedule is executed once per step).
+double backward: the retained schedule is executed once per step).
 
 The shape/dtype-keyed :class:`BufferArena` itself lives in
 :mod:`repro.tensor.arena` (the lowest layer, importable by the tensor core
@@ -56,22 +49,20 @@ without cycles) and is re-exported here, which is the public entry point.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, Optional
 
 import numpy as np
 
 from repro.tensor import arena as _tensor_arena
 from repro.tensor import plan as _tensor_plan
-from repro.tensor import tensor as _tensor_module
 from repro.tensor.arena import BufferArena
 from repro.tensor.plan import ForwardPlan, ForwardRecorder
-from repro.tensor.tensor import PlanMismatchError, TapePlan, Tensor
+from repro.tensor.tensor import Tensor
 
 __all__ = [
     "BufferArena",
     "ForwardPlan",
     "ForwardRecorder",
-    "PlanMismatchError",
     "StepCapture",
 ]
 
@@ -86,43 +77,42 @@ class StepCapture:
         the one-time caches; the capture step itself must see steady-state
         control flow).
     max_failures:
-        After this many failed capture attempts or replay fallbacks *without
-        an intervening healthy replay streak* the capture is switched off
-        entirely (``state == "off"``) — the workload is not steady-state and
-        paying the bookkeeping is pointless.  A streak of
-        ``FAILURE_RESET_REPLAYS`` consecutive successful replays clears the
-        counter, so isolated, individually-recovered fallbacks thousands of
-        steps apart do not eventually disable capture.  Switching off also
-        swaps in a fresh empty arena so the retired pool is reclaimed.
+        After this many failures — a compiled replay that raised, or a
+        sterile re-capture (the signature moved again before the previous
+        capture was ever replayed) — *without an intervening healthy replay
+        streak* the capture is switched off entirely (``state == "off"``):
+        the workload is not steady-state and paying the bookkeeping is
+        pointless.  A streak of ``FAILURE_RESET_REPLAYS`` consecutive
+        healthy replayed steps clears the counter, so isolated,
+        individually-recovered failures thousands of steps apart do not
+        eventually disable capture.  Switching off also swaps in a fresh
+        empty arena so the retired pool is reclaimed.
     """
 
     WARMUP = "warmup"
     CAPTURE = "capture"
     REPLAY = "replay"
     OFF = "off"
-    # Consecutive successful replays that prove the workload steady-state
-    # again and forgive earlier capture failures / fallbacks.
+    # Consecutive healthy replayed steps that prove the workload
+    # steady-state again and forgive earlier failures.
     FAILURE_RESET_REPLAYS = 8
 
     def __init__(self, warmup_steps: int = 1, max_failures: int = 3):
         self.arena = BufferArena()
         self.state = self.WARMUP if warmup_steps > 0 else self.CAPTURE
         self.signature: Optional[Hashable] = None
-        self.plan: Optional[TapePlan] = None
-        self.tape: Optional[List[Tensor]] = None
         self.warmup_steps = int(warmup_steps)
         self.max_failures = int(max_failures)
         # Counters (surfaced as profiler gauges by the trainer).
         self.steps = 0
-        self.captures = 0
         self.recaptures = 0
-        self.replay_steps = 0
-        self.fallbacks = 0
         self.last_step_allocations = 0
         self._warmup_left = self.warmup_steps
+        self._captured = False
         self._failures = 0
         self._replay_streak = 0
         self._replays_since_capture = 0
+        self._replaying = False
         self._alloc_before = 0
         self._prev_arena: Optional[BufferArena] = None
         self._step_open = False
@@ -142,7 +132,9 @@ class StepCapture:
         self.full_replays = 0
         self.full_fallbacks = 0
         self.full_fail_reason = ""
-        self._full_failures = 0
+        # Set when the current signature's forward is not recordable; only a
+        # signature change lifts it.
+        self._vetoed = False
         self._recorder: Optional[ForwardRecorder] = None
         self._staged: Dict[str, np.ndarray] = {}
 
@@ -150,8 +142,9 @@ class StepCapture:
     def begin_step(self, signature: Hashable) -> None:
         """Enter a step; ``signature`` pins everything that shapes the graph.
 
-        The trainer passes input/label shapes and the fused-kernel toggle; a
-        change invalidates the plan and schedules exactly one re-capture.
+        The trainer passes input/label shapes, the kernel toggles, the loss
+        scale and the trainable set; a change drops the compiled plan and
+        schedules exactly one re-capture.
         """
         self.steps += 1
         if self.state == self.OFF:
@@ -160,93 +153,45 @@ class StepCapture:
         if signature != self.signature:
             # Shapes/dtypes moved: every full-plan buffer binding is stale.
             self.drop_full_plan()
+            self._vetoed = False
             if self.signature is not None and self.state != self.WARMUP:
-                # Shape change mid-run: drop the plan and (below, once the
-                # previous step's outstanding buffers have been recycled by
-                # next_generation) the stale-shape buffer pools — a
-                # bucketed-length loader would otherwise accumulate one full
-                # working set per length seen.  Then re-capture once.
-                if self.captures:
-                    # Only a signature change after a successful capture is a
-                    # *re*-capture (the gauge advertises exactly-one-per-
-                    # shape-change; a flip before the first capture is not
-                    # one).
-                    if (self.plan is not None
-                            and self._replays_since_capture == 0):
-                        # The previous plan was never replayed: the signature
-                        # is flipping at least as fast as we can capture
-                        # (shape-alternating batches).  Sterile captures
-                        # count toward the kill-switch — without this, such
-                        # a workload would pay capture bookkeeping plus a
-                        # full working-set reallocation on every single
-                        # step, forever.
-                        self._failures += 1
+                # Signature change mid-run: (below, once the previous step's
+                # outstanding buffers have been recycled by next_generation)
+                # drop the stale-shape buffer pools — a bucketed-length
+                # loader would otherwise accumulate one full working set per
+                # length seen.  Then re-capture once.  Only a change after a
+                # completed capture is a *re*-capture (the gauge advertises
+                # exactly-one-per-shape-change).
+                if self._captured:
+                    if self._replays_since_capture == 0:
+                        # The previous capture was never replayed: the
+                        # signature is flipping at least as fast as we can
+                        # capture (shape-alternating batches).  Without this
+                        # failure such a workload would pay a full
+                        # working-set reallocation on every step, forever.
+                        self._fail()
                     self.recaptures += 1
-                self.state = (self.OFF if self._failures >= self.max_failures
-                              else self.CAPTURE)
+                if self.state != self.OFF:
+                    self.state = self.CAPTURE
                 trim_stale = True
             self.signature = signature
-            self.plan = None
             if self.state == self.OFF:
                 # Retired at the transition: the previous generation's
                 # buffers are dead, so drop the whole pool right away.
                 self.arena = BufferArena()
-                self.tape = None
                 return
+        self._step_open = True
         if self.state == self.WARMUP:
-            self.tape = None
-            self._step_open = True
             return
         self.arena.next_generation()
         if trim_stale:
             self.arena.trim()
         self._alloc_before = self.arena.misses
         self._prev_arena = _tensor_arena.set_active(self.arena)
-        self.tape = []
-        _tensor_module.set_tape(self.tape)
-        self._step_open = True
-
-    def run_backward(self, loss: Tensor, grad=None) -> None:
-        """Backward through the capture machinery (replay / record / plain)."""
-        if self.state == self.REPLAY and self.plan is not None:
-            try:
-                loss.backward(grad, tape=self.tape, plan=self.plan)
-                self.replay_steps += 1
-                self._replay_streak += 1
-                self._replays_since_capture += 1
-                if self._replay_streak >= self.FAILURE_RESET_REPLAYS:
-                    self._failures = 0
-                return
-            except PlanMismatchError:
-                # Validation failed *before* any gradient was touched: fall
-                # through to an ordinary recording pass on this very step.
-                # Repeated fallbacks without a healthy replay streak in
-                # between mean the graph is not steady-state, so they count
-                # toward the kill-switch like failed captures.  The full
-                # plan was compiled against the same graph — drop it too.
-                self.fallbacks += 1
-                self._failures += 1
-                self._replay_streak = 0
-                self.plan = None
-                self.drop_full_plan(fallback=True)
-                self.state = (self.OFF if self._failures >= self.max_failures
-                              else self.CAPTURE)
-        if self.state == self.CAPTURE and self.tape is not None:
-            plan = loss.backward(grad, tape=self.tape, record=True)
-            if plan is None:
-                self._failures += 1
-                if self._failures >= self.max_failures:
-                    self.state = self.OFF
-            else:
-                self.plan = plan
-                self.captures += 1
-                self.state = self.REPLAY
-                self._replays_since_capture = 0
-            return
-        loss.backward(grad)
+        self._replaying = self.state == self.REPLAY
 
     def end_step(self) -> None:
-        """Leave the step: detach the arena/tape, roll the state machine."""
+        """Leave the step: detach the arena, roll the state machine."""
         if not self._step_open:
             return
         self._step_open = False
@@ -255,19 +200,33 @@ class StepCapture:
             if self._warmup_left <= 0:
                 self.state = self.CAPTURE
             return
-        if self.tape is not None or self.state == self.OFF:
-            _tensor_module.set_tape(None)
-            _tensor_arena.set_active(self._prev_arena)
-            self._prev_arena = None
-            self.tape = None
-            self.last_step_allocations = self.arena.misses - self._alloc_before
-            if self.state == self.OFF and self.arena.takes:
-                # Retired for good: swap in an empty arena so the whole pool
-                # (free lists *and* this step's outstanding buffers) becomes
-                # unreferenced once the step's tensors die, instead of being
-                # held for the trainer's lifetime.
-                self.arena = BufferArena()
-                self.drop_full_plan()
+        _tensor_arena.set_active(self._prev_arena)
+        self._prev_arena = None
+        self.last_step_allocations = self.arena.misses - self._alloc_before
+        if self.state == self.OFF:
+            # Retired for good: swap in an empty arena so the whole pool
+            # (free lists *and* this step's outstanding buffers) becomes
+            # unreferenced once the step's tensors die, instead of being
+            # held for the trainer's lifetime.
+            self.arena = BufferArena()
+            self.drop_full_plan()
+        elif self.state == self.CAPTURE:
+            self.state = self.REPLAY
+            self._captured = True
+            self._replays_since_capture = 0
+        elif self._replaying:
+            self._replays_since_capture += 1
+            self._replay_streak += 1
+            if self._replay_streak >= self.FAILURE_RESET_REPLAYS:
+                self._failures = 0
+
+    def _fail(self) -> None:
+        """Count one failure toward the kill-switch (see ``max_failures``)."""
+        self._failures += 1
+        self._replay_streak = 0
+        self._replaying = False
+        if self._failures >= self.max_failures:
+            self.state = self.OFF
 
     # -- full-step compiler --------------------------------------------------
     def stage(self, name: str, value) -> np.ndarray:
@@ -296,7 +255,7 @@ class StepCapture:
         return (self.forward_plan is None
                 and self._step_open
                 and self.state in (self.CAPTURE, self.REPLAY)
-                and self._full_failures < self.max_failures)
+                and not self._vetoed)
 
     def begin_full_capture(self) -> ForwardRecorder:
         """Install a :class:`ForwardRecorder` around this step's forward."""
@@ -318,25 +277,19 @@ class StepCapture:
         ``root`` is the backward root (the scaled loss); ``loss`` is the
         unscaled loss tensor whose plan buffer replays read the step's loss
         value from.  Returns True when the full plan is installed; on a
-        coverage gap the step degrades to the ordinary PR-5 capture/replay
-        backward and False is returned.
+        coverage gap the compiler is vetoed for this signature, the step
+        runs the ordinary backward and False is returned.
         """
         rec = self._recorder
         self._recorder = None
         _tensor_plan.set_recorder(None)
-        if rec is None:
-            self.run_backward(root)
-            return False
         if not rec.ok():
-            self._full_failures += 1
+            self._vetoed = True
             self.full_fail_reason = rec.fail_reason
-            self.run_backward(root)
+            root.backward()
             return False
-        schedule = self._backward_retained(root)
-        if schedule is None:
-            self._full_failures += 1
-            self.full_fail_reason = "backward schedule not capturable"
-            return False
+        schedule = root._schedule()
+        root._execute_backward(schedule, np.ones_like(root.data), True, True)
         self.forward_plan = ForwardPlan(rec.entries)
         self.full_schedule = schedule
         self.full_root = root
@@ -344,61 +297,22 @@ class StepCapture:
         self.full_seed = np.ones_like(root.data)
         self.full_layout_state = layout_state
         self.full_captures += 1
-        self._full_failures = 0
         return True
 
-    def _backward_retained(self, root: Tensor):
-        """This step's backward, keeping the graph alive for later replays.
-
-        Mirrors :meth:`run_backward`'s accounting exactly (replay / record /
-        fallback), but executes with ``retain_graph=True`` and returns the
-        validated schedule — the node sequence every compiled step will
-        re-execute.  Returns None when no plan could be used or recorded.
-        """
-        if self.state == self.REPLAY and self.plan is not None:
-            try:
-                schedule = root._validated_schedule(self.tape, self.plan)
-            except PlanMismatchError:
-                self.fallbacks += 1
-                self._failures += 1
-                self._replay_streak = 0
-                self.plan = None
-                self.state = (self.OFF if self._failures >= self.max_failures
-                              else self.CAPTURE)
-            else:
-                root._execute_backward(schedule, np.ones_like(root.data),
-                                       True, True)
-                self.replay_steps += 1
-                self._replay_streak += 1
-                self._replays_since_capture += 1
-                if self._replay_streak >= self.FAILURE_RESET_REPLAYS:
-                    self._failures = 0
-                return schedule
-        if self.state == self.CAPTURE and self.tape is not None:
-            plan = root.backward(tape=self.tape, record=True,
-                                 retain_graph=True)
-            if plan is None:
-                self._failures += 1
-                if self._failures >= self.max_failures:
-                    self.state = self.OFF
-                return None
-            self.plan = plan
-            self.captures += 1
-            self.state = self.REPLAY
-            self._replays_since_capture = 0
-            return root._validated_schedule(self.tape, plan)
-        root.backward(retain_graph=True)
-        return None
-
-    def replay_full_forward(self, threads: int = 1) -> None:
+    def replay_full_forward(self) -> None:
         """Run the compiled forward plan (caller staged the inputs first)."""
-        self.forward_plan.run(threads)
+        self.forward_plan.run()
 
     def replay_full_backward(self) -> None:
         """Execute the retained backward schedule over the refreshed buffers."""
         self.full_root._execute_backward(self.full_schedule, self.full_seed,
                                          False, True)
         self.full_replays += 1
+
+    def full_replay_failed(self) -> None:
+        """A compiled replay raised: drop the plan and count a failure."""
+        self.drop_full_plan(fallback=True)
+        self._fail()
 
     def full_loss_value(self) -> float:
         """The (unscaled) loss of the last full replay."""
@@ -408,10 +322,6 @@ class StepCapture:
         """Invalidate the compiled full-step plan (idempotent)."""
         if getattr(self, "forward_plan", None) is None:
             return
-        try:
-            self.forward_plan.close()
-        except Exception:
-            pass
         self.forward_plan = None
         self.full_schedule = None
         self.full_root = None
@@ -422,7 +332,7 @@ class StepCapture:
             self.full_fallbacks = getattr(self, "full_fallbacks", 0) + 1
 
     def retire(self) -> None:
-        """Drop every plan and release the arena pool (terminal, idempotent).
+        """Drop the plan and release the arena pool (terminal, idempotent).
 
         The serving layer keeps one capture per signature bucket in a bounded
         plan cache; evicting a bucket must reclaim its whole working set —
@@ -434,8 +344,6 @@ class StepCapture:
         construction never completed (every attribute access is defensive).
         """
         self.drop_full_plan()
-        self.plan = None
-        self.tape = None
         self.signature = None
         self.state = self.OFF
         self.arena = BufferArena()
@@ -448,9 +356,7 @@ class StepCapture:
             "arena_bytes": float(self.arena.bytes_held),
             "arena_hit_rate": self.arena.hit_rate(),
             "arena_evictions": float(self.arena.evictions),
-            "capture_replay_steps": float(self.replay_steps),
             "capture_recaptures": float(self.recaptures),
-            "capture_fallbacks": float(self.fallbacks),
             "capture_full_captures": float(self.full_captures),
             "capture_full_replays": float(self.full_replays),
             "capture_full_fallbacks": float(self.full_fallbacks),
@@ -458,9 +364,9 @@ class StepCapture:
 
     def summary(self) -> str:
         return (f"StepCapture(state={self.state}, steps={self.steps}, "
-                f"captures={self.captures}, replays={self.replay_steps}, "
-                f"recaptures={self.recaptures}, fallbacks={self.fallbacks}, "
+                f"recaptures={self.recaptures}, "
                 f"full_captures={self.full_captures}, "
                 f"full_replays={self.full_replays}, "
+                f"full_fallbacks={self.full_fallbacks}, "
                 f"arena={self.arena.bytes_held / 1024 ** 2:.1f} MiB, "
                 f"allocs/step={self.last_step_allocations})")

@@ -450,7 +450,8 @@ def _worker_main(spec: CommSpec, rank: int,
                 capture = tuner.capture
                 if capture is not None:
                     stats[STAT_RECAPTURES] = capture.recaptures
-                    stats[STAT_REPLAY_STEPS] = capture.replay_steps
+                    # Compiled replays are the only replays there are.
+                    stats[STAT_REPLAY_STEPS] = capture.full_replays
                     stats[STAT_FULL_REPLAYS] = capture.full_replays
                 stats[STAT_MASK_SYNCS] = mask_syncs
                 stats[STAT_CHECKSUM_FAILURES] = reducer.checksum_failures

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
@@ -30,30 +29,31 @@ from repro.tensor import fused
 class CaptureConfig:
     """Steady-state step capture and full-step compilation knobs.
 
-    * ``enabled`` — after ``warmup`` uncaptured steps, record the tape's
-      execution schedule and buffer population, then replay subsequent steps
-      through recycled buffers with the topological re-sort skipped (see
-      :mod:`repro.runtime.arena`).  Bitwise identical to the uncaptured
-      path; a shape change triggers exactly one re-capture.
-    * ``compile_full_step`` — requires capture: during a captured step the
+    * ``enabled`` — after ``warmup`` uncaptured steps, run every step with
+      the recycled-buffer arena installed (see :mod:`repro.runtime.arena`),
+      so the steady state performs zero new allocations.  Bitwise identical
+      to the uncaptured path; a signature change triggers exactly one
+      re-capture.
+    * ``compile_full_step`` — requires capture: during the capture step the
       forward's kernel calls are additionally recorded into a flat
       ForwardPlan and the backward schedule is retained, so steady-state
-      steps replay forward + backward + optimizer tail without building a
-      single Python graph node.  Steps where the sparsity engine is due to
-      refresh its masks run interpreted through the backward-only replay.
-    * ``executor_threads`` — thread count for the dependency-levelled
-      forward executor.  1 replays the recorded kernel order — bitwise
-      identical to the interpreted step.  >1 dispatches each dependency
-      level across a thread pool (NumPy releases the GIL inside BLAS);
-      entries on one level never read each other's output, so results are
-      value-identical, but cross-entry accumulation order is not pinned —
-      the bitwise contract holds only at ``executor_threads=1``.
+      steps replay forward + backward without building a single Python
+      graph node.  Steps where the sparsity engine is due to refresh its
+      masks run interpreted over the arena.
+    * ``executor_threads`` — must be 1 (the serial, bitwise replay); any
+      other value raises ``ValueError``.
     """
 
     enabled: bool = False
     warmup: int = 1
     compile_full_step: bool = False
     executor_threads: int = 1
+
+    def __post_init__(self):
+        if self.executor_threads != 1:
+            raise ValueError("the forward plan replays serially; "
+                             f"executor_threads must be 1, got "
+                             f"{self.executor_threads}")
 
 
 @dataclass
@@ -82,20 +82,6 @@ class AttentionConfig:
     fused_kernels: Optional[bool] = None
 
 
-# Legacy flat TrainingConfig kwargs -> (nested group, attribute).  Kept
-# working through the compat constructor and the property aliases installed
-# below; new code should set the nested dataclasses directly.
-_LEGACY_TRAINING_KWARGS = {
-    "capture_steps": ("capture", "enabled"),
-    "capture_warmup": ("capture", "warmup"),
-    "compile_full_step": ("capture", "compile_full_step"),
-    "executor_threads": ("capture", "executor_threads"),
-    "streaming_attention": ("attention", "streaming"),
-    "streaming_tile": ("attention", "streaming_tile"),
-    "fused_kernels": ("attention", "fused_kernels"),
-}
-
-
 @dataclass
 class TrainingConfig:
     """Hyper-parameters of the fine-tuning loop.
@@ -106,13 +92,6 @@ class TrainingConfig:
         TrainingConfig(capture=CaptureConfig(enabled=True,
                                              compile_full_step=True),
                        attention=AttentionConfig(streaming=True))
-
-    The pre-grouping flat keyword arguments (``capture_steps``,
-    ``capture_warmup``, ``compile_full_step``, ``executor_threads``,
-    ``streaming_attention``, ``streaming_tile``) are still accepted — they
-    are forwarded into the nested groups with a :class:`DeprecationWarning`
-    — and remain readable/assignable through property aliases, so existing
-    code keeps working unchanged.
     """
 
     learning_rate: float = 1e-3
@@ -131,43 +110,6 @@ class TrainingConfig:
     # FineTuner itself always runs one process; the knob tells the
     # distributed front-end how wide to go.
     data_parallel_workers: int = 1
-
-
-_TRAINING_CONFIG_INIT = TrainingConfig.__init__
-
-
-def _training_config_compat_init(self, *args, **kwargs):
-    legacy = {key: kwargs.pop(key)
-              for key in tuple(kwargs) if key in _LEGACY_TRAINING_KWARGS}
-    _TRAINING_CONFIG_INIT(self, *args, **kwargs)
-    if legacy:
-        warnings.warn(
-            "flat TrainingConfig kwargs "
-            f"({', '.join(sorted(legacy))}) are deprecated; use the nested "
-            "capture=CaptureConfig(...) / attention=AttentionConfig(...) "
-            "groups instead", DeprecationWarning, stacklevel=2)
-        for key, value in legacy.items():
-            group, attr = _LEGACY_TRAINING_KWARGS[key]
-            setattr(getattr(self, group), attr, value)
-
-
-TrainingConfig.__init__ = _training_config_compat_init
-
-
-def _legacy_alias(group: str, attr: str) -> property:
-    def _get(self):
-        return getattr(getattr(self, group), attr)
-
-    def _set(self, value):
-        setattr(getattr(self, group), attr, value)
-
-    return property(_get, _set, doc=f"Alias of ``{group}.{attr}`` "
-                                    "(legacy flat TrainingConfig field).")
-
-
-for _name, (_group, _attr) in _LEGACY_TRAINING_KWARGS.items():
-    setattr(TrainingConfig, _name, _legacy_alias(_group, _attr))
-del _name, _group, _attr
 
 
 @dataclass
@@ -268,6 +210,8 @@ class FineTuner:
                  capture=None, grad_reducer=None):
         self.model = model
         self.config = config or TrainingConfig()
+        # Every parameter, for the trainable set in the capture signature.
+        self._parameters = model.parameters()
         trainable = model.trainable_parameters()
         if not trainable:
             raise ValueError("model has no trainable parameters; apply a PEFT method first")
@@ -289,7 +233,7 @@ class FineTuner:
         # means "inherit whatever is ambient".  This is the audited list of
         # process globals a step consults: the fused-kernel switch, the
         # streaming-attention switch + tile (both scoped here), the active
-        # arena and tape and the forward recorder (set and restored by
+        # arena and the forward recorder (set and restored by
         # StepCapture's begin/end machinery inside the step), and the
         # content-keyed geometry/causal-mask caches (value caches, safe to
         # share across tuners and tenants).
@@ -299,18 +243,21 @@ class FineTuner:
             else (bool(attention.streaming), attention.streaming_tile))
         self._fused_scope = (None if attention.fused_kernels is None
                              else bool(attention.fused_kernels))
-        # Flat-update closure for compiled steps (None -> ordinary step()).
-        self._optim_plan_tail = getattr(self.optimizer, "plan_tail",
-                                        lambda: None)()
 
     def _capture_signature(self, input_ids: np.ndarray,
                            labels: Optional[np.ndarray]):
-        """Everything that shapes the step's graph; a change forces re-capture."""
+        """Everything that shapes the step's graph; a change forces re-capture.
+
+        The trainable set is part of it: a parameter unfrozen after capture
+        must join the backward, which a compiled replay of the old graph
+        would silently leave without a gradient.
+        """
         return (input_ids.shape, str(input_ids.dtype),
                 None if labels is None else np.asarray(labels).shape,
                 fused.fused_kernels_enabled(),
                 fused.streaming_attention_enabled(), fused.streaming_tile(),
-                float(self.scaler.scale))
+                float(self.scaler.scale),
+                tuple(p.requires_grad for p in self._parameters))
 
     def _kernel_scopes(self) -> contextlib.ExitStack:
         """Enter the tuner's explicit kernel-routing scopes (see __init__)."""
@@ -356,12 +303,11 @@ class FineTuner:
             capture.begin_step(self._capture_signature(input_ids, labels))
         loss_value: Optional[float] = None
         forward_s = backward_s = 0.0
-        replayed = False
         try:
             # Full-step compilation is only sound on steps whose forward is
             # pure kernel calls: fused kernels on, and no sparsity-mask
             # refresh due (probe/oracle logic runs between ops and cannot be
-            # recorded — those steps run interpreted via the PR-5 replay).
+            # recorded — those steps run interpreted over the arena).
             full = (capture is not None
                     and self.config.capture.compile_full_step
                     and fused.fused_kernels_enabled()
@@ -378,19 +324,17 @@ class FineTuner:
                     capture.stage("labels", labels)
                 start = time.perf_counter()
                 try:
-                    capture.replay_full_forward(
-                        self.config.capture.executor_threads)
+                    capture.replay_full_forward()
                     forward_s = time.perf_counter() - start
                     start = time.perf_counter()
                     capture.replay_full_backward()
                     backward_s = time.perf_counter() - start
                     loss_value = capture.full_loss_value()
-                    replayed = True
                 except Exception:
                     # A partial replay may have half-written gradients; zero
                     # them and fall through to the interpreted step, which
                     # recomputes everything from scratch.
-                    capture.drop_full_plan(fallback=True)
+                    capture.full_replay_failed()
                     self.optimizer.zero_grad()
                     self.model.zero_grad()
                     loss_value = None
@@ -422,8 +366,6 @@ class FineTuner:
                         scaled, loss,
                         self.engine.layout_state()
                         if self.engine is not None else None)
-                elif capture is not None:
-                    capture.run_backward(scaled)
                 else:
                     scaled.backward()
                 backward_s = time.perf_counter() - start
@@ -443,10 +385,7 @@ class FineTuner:
             if self.config.grad_clip > 0:
                 clip_grad_norm(self.optimizer.params, self.config.grad_clip)
             if finite:
-                if replayed and self._optim_plan_tail is not None:
-                    self._optim_plan_tail()
-                else:
-                    self.optimizer.step()
+                self.optimizer.step()
             self.scaler.update(found_overflow=not finite)
             self.optimizer.zero_grad()
             self.model.zero_grad()

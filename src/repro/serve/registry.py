@@ -10,7 +10,7 @@ recorded against.
 The whole design hangs on one invariant: **tenant switches are values-only**.
 Attaching a tenant copies (``np.copyto``) its slabs into the existing
 parameter and moment arrays — never rebinds them — so the StepCapture /
-ForwardPlan machinery (PR 5/6), whose replay thunks are bound to those exact
+ForwardPlan machinery, whose replay thunks are bound to those exact
 ndarray objects, stays valid across arbitrary tenant interleavings.  This is
 what lets thousands of adapters share one compiled step.
 

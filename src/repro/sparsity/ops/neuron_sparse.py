@@ -159,7 +159,7 @@ def neuron_sparse_linear_pair(x: Tensor,
         # The replay thunk closes over weight gathers copied at record time;
         # trainable base weights (full fine-tuning / oracle studies) would go
         # stale after the first optimizer step.  The compiled regime is PEFT
-        # with a frozen base — degrade to the backward-only replay here.
+        # with a frozen base — veto compilation; the step runs interpreted.
         rec.fail("neuron-sparse MLP with trainable base weights")
         rec = None
 
@@ -198,8 +198,7 @@ def neuron_sparse_linear_pair(x: Tensor,
             out2d += fc2_b
 
         run()
-        rec.record(run, (x_data,), (pre, act_mask, hidden, out2d),
-                   tag="neuron_sparse_mlp")
+        rec.record(run, tag="neuron_sparse_mlp")
     else:
         if cache is not None:
             fc1_active, fc2_active_t = cache.gather(active)

@@ -395,8 +395,7 @@ CAPTURE_BACKENDS = ("dense", "oracle", "predicted")
 
 def run_capture_training(backend: str, fused_enabled: bool, steps: int = 3,
                          capture: bool = False, seq: int = 32,
-                         full: bool = False, threads: int = 1,
-                         predict_interval: int = 2):
+                         full: bool = False, predict_interval: int = 2):
     """Train ``steps`` steps; returns (losses, grad_log, moments, params, stats).
 
     ``full=True`` enables the full-step compiler (implies capture); ``stats``
@@ -425,19 +424,6 @@ def run_capture_training(backend: str, fused_enabled: bool, steps: int = 3,
             self._log_grads()
             super().step()
 
-        def plan_tail(self):
-            # Compiled full steps run the pre-validated flat tail instead of
-            # step(); wrap it so those steps land in the grad log too.
-            tail = super().plan_tail()
-            if tail is None:
-                return None
-
-            def logging_tail():
-                self._log_grads()
-                tail()
-
-            return logging_tail
-
     model_name = "gpt2-tiny" if backend == "dense" else "opt-tiny"
     with kernels_enabled(fused_enabled):
         model = build_model(model_name, seed=0)
@@ -458,8 +444,7 @@ def run_capture_training(backend: str, fused_enabled: bool, steps: int = 3,
         use_capture = capture or full
         tuner = FineTuner(model,
                           TrainingConfig(capture=CaptureConfig(
-                              compile_full_step=full,
-                              executor_threads=threads)),
+                              compile_full_step=full)),
                           optimizer=optimizer, engine=engine,
                           capture=StepCapture() if use_capture else None)
         losses = []
@@ -473,19 +458,14 @@ def run_capture_training(backend: str, fused_enabled: bool, steps: int = 3,
             engine.uninstall(model)
         stats = {}
         if use_capture:
-            # The capture must actually have engaged: one capture step and at
-            # least one replayed backward.  (Zero-allocation steady state is
-            # asserted by the -m alloc tests, which hold the batch fixed;
-            # here every step sees a *fresh* batch, so drifting sparse
-            # layouts may legitimately allocate new block shapes.)
-            assert tuner.capture.captures >= 1, "capture never engaged"
-            # Full-step replays bypass run_backward, so they count in
-            # full_replays, not replay_steps; either means the plan replayed.
-            assert (tuner.capture.replay_steps
-                    + tuner.capture.full_replays) >= 1, "plan never replayed"
+            # The capture must actually have engaged: the capture step ran
+            # and later steps replayed over the arena.  (Zero-allocation
+            # steady state is asserted by the -m alloc tests, which hold the
+            # batch fixed; here every step sees a *fresh* batch, so drifting
+            # sparse layouts may legitimately allocate new block shapes.)
+            assert tuner.capture.state == tuner.capture.REPLAY, \
+                "capture never engaged"
             stats = {
-                "captures": tuner.capture.captures,
-                "replay_steps": tuner.capture.replay_steps,
                 "full_captures": tuner.capture.full_captures,
                 "full_replays": tuner.capture.full_replays,
                 "full_fallbacks": tuner.capture.full_fallbacks,
@@ -523,7 +503,7 @@ def assert_capture_parity(backend: str, fused_enabled: bool,
 
 
 def assert_full_step_parity(backend: str, fused_enabled: bool,
-                            threads: int = 1, steps: int = 4,
+                            steps: int = 4,
                             predict_interval: int = 3) -> None:
     """Bitwise-compare full-step-compiled vs. plain interpreted training.
 
@@ -531,14 +511,14 @@ def assert_full_step_parity(backend: str, fused_enabled: bool,
     the plan captured on the first reuse step replays on the second before
     the next refresh can move the layouts.  With reference kernels the
     compiler never arms (the forward is not a recordable kernel stream) and
-    the run must degrade gracefully to the PR-5 backward-only replay —
+    the run must degrade gracefully to interpreted steps over the arena —
     still bitwise identical.
     """
-    tag = f"full/{backend}/fused={fused_enabled}/threads={threads}"
+    tag = f"full/{backend}/fused={fused_enabled}"
     base = run_capture_training(backend, fused_enabled, steps, capture=False,
                                 predict_interval=predict_interval)
     compiled = run_capture_training(backend, fused_enabled, steps,
-                                    full=True, threads=threads,
+                                    full=True,
                                     predict_interval=predict_interval)
     _assert_trajectories_equal(tag, base, compiled)
     stats = compiled[4]
@@ -550,7 +530,7 @@ def assert_full_step_parity(backend: str, fused_enabled: bool,
     elif fused_enabled:
         # Oracle mode fine-tunes the full model; the sparse MLP refuses to
         # close over trainable base weights, so the compiler must stay cold
-        # (and say why) while the PR-5 backward replay keeps parity.
+        # (and say why) while the interpreted arena steps keep parity.
         assert stats["full_captures"] == 0, \
             f"{tag}: full plan captured over trainable base weights ({stats})"
         assert "trainable base weights" in stats["full_fail_reason"], \

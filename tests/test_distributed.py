@@ -48,7 +48,8 @@ def _nano_tuner():
 def _capturing_tuner():
     model = build_model(NANO, seed=0)
     apply_lora(model)
-    return FineTuner(model, TrainingConfig(capture=CaptureConfig(enabled=True)))
+    return FineTuner(model, TrainingConfig(capture=CaptureConfig(
+        enabled=True, compile_full_step=True)))
 
 
 def _engine_tuner():
@@ -146,7 +147,7 @@ class TestCaptureIntegration:
             for rank in range(2):
                 assert stats[rank, STAT_RECAPTURES] == 1
                 # seq-16 steps: warm-up, capture, replay; seq-24: recapture,
-                # replay — two replayed steps per worker in total.
+                # replay — two compiled replays per worker in total.
                 assert stats[rank, STAT_REPLAY_STEPS] == 2
 
 

@@ -175,10 +175,10 @@ def test_bench_step_capture_structure():
         assert row["speedup"] == pytest.approx(
             row["uncaptured_s"] / row["captured_s"])
         # Fixed-batch windows: the captured steady state must be allocation-free
-        # and actually replayed (no silent fallback to the uncaptured path).
+        # and actually replaying (no silent switch-off or re-capture).
         assert row["captured_allocs_per_step"] == 0.0
-        assert row["replay_steps"] >= 1.0
-        assert row["fallbacks"] == 0.0
+        assert row["state_replay"] == 1.0
+        assert row["recaptures"] == 0.0
         assert row["arena_mb"] > 0.0
     # The PR-4-form rollback baseline rides along on the predicted config
     # (and the monkeypatched ops must have been restored afterwards).
@@ -198,8 +198,7 @@ def test_bench_step_capture_structure():
     assert recap["state_replay"] == 1.0
     # Capture state must not leak out of the benchmark.
     from repro.tensor import arena as tensor_arena
-    from repro.tensor.tensor import current_tape
-    assert tensor_arena.active() is None and current_tape() is None
+    assert tensor_arena.active() is None
 
 
 def test_bench_prediction_overhead_structure():

@@ -1,4 +1,4 @@
-"""Step-capture runtime tests: arena, planned replay, allocation regression.
+"""Step-capture runtime tests: arena, compiled replay, allocation regression.
 
 Three concerns, three marker tiers:
 
@@ -10,7 +10,8 @@ Three concerns, three marker tiers:
   a step is captured, subsequent steps must perform **zero** new arena
   allocations for the dense, oracle-sparse and predicted configurations, and
   a sequence-length change must trigger exactly one re-capture;
-* unmarked unit tests for :class:`BufferArena` and the tape-plan machinery.
+* unmarked unit tests for :class:`BufferArena` and the capture state
+  machine (kill-switch, replay streak, trainable-set invalidation).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.runtime import (AttentionConfig, BufferArena, CaptureConfig,
                            FineTuner, StepCapture, TrainingConfig)
 from repro.sparsity import LongExposure, LongExposureConfig
 from repro.tensor import arena as tensor_arena
-from repro.tensor.tensor import PlanMismatchError, Tensor, set_tape
+from repro.tensor.tensor import Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -114,56 +115,74 @@ def test_zero_warmup_captures_on_the_first_step():
     capture = StepCapture(warmup_steps=0)
     w = Tensor(np.ones(3, np.float32), requires_grad=True)
     capture.begin_step(("sig",))
-    capture.run_backward(_loss_chain(w))
+    assert tensor_arena.active() is capture.arena   # step 1 IS the capture step
+    _loss_chain(w).backward()
     capture.end_step()
     w.grad = None
-    assert capture.captures == 1          # step 1 IS the capture step
+    assert capture.state == capture.REPLAY
+    assert capture.last_step_allocations > 0
     capture.begin_step(("sig",))
-    capture.run_backward(_loss_chain(w))
+    _loss_chain(w).backward()
     capture.end_step()
-    assert capture.replay_steps == 1      # step 2 already replays
+    assert capture.last_step_allocations == 0   # step 2 already replays
     assert capture.recaptures == 0        # no signature change ever happened
+    assert tensor_arena.active() is None
+
+
+def _loss_chain(w):
+    x = w * 2.0
+    return (x * x).sum()
+
+
+def _build_faulty_full_tuner(max_failures: int):
+    """Compiled dense tuner whose replays raise while ``faults[0]`` is set."""
+    tuner, ids, capture = _build_full_tuner(
+        "dense", capture=StepCapture(max_failures=max_failures))
+    faults = [False]
+    replay = capture.replay_full_forward
+
+    def faulty_replay():
+        if faults[0]:
+            raise RuntimeError("injected replay fault")
+        replay()
+
+    capture.replay_full_forward = faulty_replay
+    return tuner, ids, capture, faults
 
 
 def test_repeated_replay_fallbacks_switch_capture_off():
-    capture = StepCapture(warmup_steps=0, max_failures=2)
-    w = Tensor(np.ones(3, np.float32), requires_grad=True)
-    losses = []
-    for step in range(4):
-        capture.begin_step(("sig",))
-        # Alternate graph wiring under one signature: every replay mismatches.
-        loss = _loss_chain(w) if step % 2 == 0 else _loss_cross(w)
-        capture.run_backward(loss)
-        capture.end_step()
-        losses.append(float(loss.data))
-        w.grad = None
-    assert capture.fallbacks >= 1
+    tuner, ids, capture, faults = _build_faulty_full_tuner(max_failures=2)
+    twin, _, _ = _build_full_tuner("dense")
+    twin.capture = None
+    losses, twin_losses = [], []
+    for step in range(5):
+        # Every compiled replay raises: each step falls back to the
+        # interpreted path (and re-compiles) until the kill-switch engages.
+        faults[0] = step >= 2
+        losses.append(tuner.step(ids)[0])
+        twin_losses.append(twin.step(ids)[0])
+    assert capture.full_fallbacks == 2
     assert capture.state == capture.OFF   # kill-switch engaged
     assert capture.arena.takes == 0       # retired pool swapped for an empty one
-    assert all(np.isfinite(losses))
+    assert capture.forward_plan is None
+    assert losses == twin_losses          # fallbacks recompute from scratch
 
 
 def test_replay_streak_forgives_isolated_fallbacks():
-    capture = StepCapture(warmup_steps=0, max_failures=2)
-    capture.FAILURE_RESET_REPLAYS  # class constant, default 8
-    w = Tensor(np.ones(3, np.float32), requires_grad=True)
-
-    def run_step(cross: bool):
-        capture.begin_step(("sig",))
-        loss = _loss_cross(w) if cross else _loss_chain(w)
-        capture.run_backward(loss)
-        capture.end_step()
-        w.grad = None
-
-    # capture + healthy streak, one fallback, another healthy streak, one
-    # fallback: isolated recovered mismatches must NOT disable capture.
-    for phase in range(2):
-        run_step(cross=bool(phase))       # (re)capture on the new wiring
-        for _ in range(capture.FAILURE_RESET_REPLAYS + 1):
-            run_step(cross=bool(phase))   # healthy replays reset _failures
-    run_step(cross=False)                 # second wiring flip -> one fallback
-    assert capture.fallbacks == 2         # one per wiring flip
+    tuner, ids, capture, faults = _build_faulty_full_tuner(max_failures=2)
+    for _ in range(2):                    # warm-up, capture + compile
+        tuner.step(ids)
+    # One fallback, a healthy streak, one more fallback: isolated recovered
+    # failures must NOT disable capture.
+    for _ in range(2):
+        faults[0] = True
+        tuner.step(ids)                   # fallback; re-compiles this step
+        faults[0] = False
+        for _ in range(capture.FAILURE_RESET_REPLAYS):
+            tuner.step(ids)               # healthy replays reset _failures
+    assert capture.full_fallbacks == 2    # one per injected fault
     assert capture.state == capture.REPLAY   # kill-switch never engaged
+    assert capture.full_replays == 2 * capture.FAILURE_RESET_REPLAYS
 
 
 def test_arena_helpers_degrade_without_active_arena():
@@ -172,94 +191,6 @@ def test_arena_helpers_degrade_without_active_arena():
     assert isinstance(buf, np.ndarray)
     tensor_arena.release(buf)              # no-op
     assert np.all(tensor_arena.zeros((3,)) == 0)
-
-
-# ---------------------------------------------------------------------------
-# tape-plan machinery
-# ---------------------------------------------------------------------------
-
-def _loss_mul(w):
-    return (w * 2.0).sum()
-
-
-def _loss_chain(w):
-    x = w * 2.0
-    return (x * x).sum()
-
-
-def _loss_cross(w):
-    x = w * 2.0
-    return (x * w).sum()
-
-
-def test_plan_record_and_replay_bitwise():
-    w = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
-    tape = []
-    set_tape(tape)
-    try:
-        plan = _loss_mul(w).backward(tape=tape, record=True)
-    finally:
-        set_tape(None)
-    assert plan is not None
-    reference = w.grad.copy()
-    w.grad = None
-    tape2 = []
-    set_tape(tape2)
-    try:
-        _loss_mul(w).backward(tape=tape2, plan=plan)
-    finally:
-        set_tape(None)
-    assert np.array_equal(w.grad, reference)
-
-
-def test_plan_mismatch_raises_before_touching_grads():
-    w = Tensor(np.ones((2, 2), np.float32), requires_grad=True)
-    tape = []
-    set_tape(tape)
-    try:
-        plan = _loss_chain(w).backward(tape=tape, record=True)
-    finally:
-        set_tape(None)
-    w.grad = None
-    tape2 = []
-    set_tape(tape2)
-    try:
-        loss = _loss_cross(w)            # same tape length, rewired parents
-        with pytest.raises(PlanMismatchError):
-            loss.backward(tape=tape2, plan=plan)
-    finally:
-        set_tape(None)
-    assert w.grad is None                # validated before any accumulation
-    loss.backward()                      # uncaptured fallback still works
-    assert w.grad is not None
-
-
-def test_unfreezing_recorded_constant_invalidates_plan():
-    # A parameter frozen at capture time is recorded as a gradient-free
-    # constant; flipping requires_grad mid-training must invalidate the plan
-    # (its gradient is absent from the recorded schedule and would be
-    # silently dropped otherwise).
-    w = Tensor(np.ones(3, np.float32), requires_grad=True)
-    frozen = Tensor(np.full(3, 2.0, np.float32), requires_grad=False)
-    tape = []
-    set_tape(tape)
-    try:
-        plan = (w * frozen).sum().backward(tape=tape, record=True)
-    finally:
-        set_tape(None)
-    assert plan is not None
-    w.grad = None
-    frozen.requires_grad = True            # staged unfreezing
-    tape2 = []
-    set_tape(tape2)
-    try:
-        loss = (w * frozen).sum()
-        with pytest.raises(PlanMismatchError):
-            loss.backward(tape=tape2, plan=plan)
-        loss.backward()                    # uncaptured fallback
-    finally:
-        set_tape(None)
-    assert np.array_equal(frozen.grad, np.ones(3, np.float32))
 
 
 def test_recapture_trims_previous_steps_working_set():
@@ -273,38 +204,48 @@ def test_recapture_trims_previous_steps_working_set():
     assert capture.arena.bytes_held < held_before
     tuner.step(ids[:, :16])
     assert capture.last_step_allocations == 0
-    # Per-step constants (e.g. the fresh ``1/count`` Tensor a mean creates
-    # every step) are recorded as "don't care": the plan pins only the
-    # *ordering* among gradient-carrying nodes, and the replayed closures are
-    # always the current step's own, so values stay exact.
-    w = Tensor(np.arange(4, dtype=np.float32), requires_grad=True)
-    tape = []
-    set_tape(tape)
-    try:
-        plan = _loss_mul(w).backward(tape=tape, record=True)
-    finally:
-        set_tape(None)
-    w.grad = None
-    tape2 = []
-    set_tape(tape2)
-    try:
-        (w * 5.0).sum().backward(tape=tape2, plan=plan)
-    finally:
-        set_tape(None)
-    assert np.array_equal(w.grad, np.full(4, 5.0, np.float32))
 
 
-def test_plan_not_recordable_with_external_interior_node():
-    w = Tensor(np.ones(3, np.float32), requires_grad=True)
-    outside = w * 3.0                    # interior node created off-tape
-    tape = []
-    set_tape(tape)
-    try:
-        plan = (outside * w).sum().backward(tape=tape, record=True)
-    finally:
-        set_tape(None)
-    assert plan is None                  # capture declines, gradients still flow
-    assert w.grad is not None
+@pytest.mark.parity
+@pytest.mark.parametrize("full", [False, True], ids=["arena-only", "compiled"])
+def test_unfreezing_after_capture_forces_one_recapture(full):
+    # A parameter frozen at capture time and unfrozen mid-training must get
+    # its gradient on the very next step, in every capture mode: the
+    # trainable set is part of the step signature, so the flip forces
+    # exactly one re-capture instead of replaying the old graph (which
+    # would leave ``.grad`` as None).  The gradient is read between backward
+    # and optimizer through the grad-reducer hook.
+    runs = []
+    for captured in (False, True):
+        model = build_model("gpt2-tiny", seed=0)
+        apply_lora(model)
+        bias = dict(model.named_parameters())["final_norm.bias"]
+        assert not bias.requires_grad
+        seen = []
+
+        def snapshot(params, bias=bias, seen=seen):
+            seen.append(None if bias.grad is None else bias.grad.copy())
+            return 0.0
+
+        capture = StepCapture() if captured else None
+        tuner = FineTuner(model, TrainingConfig(capture=CaptureConfig(
+                              compile_full_step=full)),
+                          capture=capture, grad_reducer=snapshot)
+        rng = np.random.default_rng(3)
+        for step in range(6):
+            if step == 4:
+                bias.requires_grad = True  # staged unfreezing
+            tuner.step(rng.integers(0, model.config.vocab_size, size=(2, 32)))
+        runs.append((seen, capture))
+    (base, _), (seen, capture) = runs
+    assert all(g is None for g in base[:4] + seen[:4])
+    for step in (4, 5):
+        assert seen[step] is not None, f"step {step}: unfrozen grad dropped"
+        assert np.array_equal(seen[step], base[step])
+    assert capture.recaptures == 1
+    if full:
+        assert capture.full_captures == 2, capture.full_fail_reason
+        assert capture.full_replays >= 3   # before and after the flip
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +270,44 @@ def test_captured_steps_bitwise_identical(backend, fused_enabled):
 # must stay bitwise identical to the plain interpreted run.  Where the
 # compiler cannot engage — reference kernels (no recorded seams) or oracle
 # mode (trainable base weights in the sparse MLP) — it must stay cold and
-# degrade to the PR-5 backward-only replay, still bitwise identical.
+# degrade to interpreted steps over the arena, still bitwise identical.
 
 @pytest.mark.parity
-@pytest.mark.parametrize("threads", [1, 4], ids=["threads1", "threads4"])
 @pytest.mark.parametrize("fused_enabled", [True, False],
                          ids=["fused", "reference"])
 @pytest.mark.parametrize("backend", parity.CAPTURE_BACKENDS)
-def test_full_step_bitwise_identical(backend, fused_enabled, threads):
-    parity.assert_full_step_parity(backend, fused_enabled, threads=threads)
+def test_full_step_bitwise_identical(backend, fused_enabled):
+    parity.assert_full_step_parity(backend, fused_enabled)
+
+
+@pytest.mark.parity
+def test_compiled_step_skips_gradless_optimizer_params():
+    # An optimizer parameter that receives no gradient (here a frozen bias
+    # handed to Adam next to the LoRA factors) is skipped by Adam.step();
+    # the compiled step must do exactly the same, bit for bit.
+    runs = []
+    for captured in (False, True):
+        model = build_model("gpt2-tiny", seed=0)
+        apply_lora(model)
+        frozen = dict(model.named_parameters())["final_norm.bias"]
+        optimizer = Adam(model.trainable_parameters() + [frozen], lr=1e-3)
+        capture = StepCapture() if captured else None
+        tuner = FineTuner(model, TrainingConfig(capture=CaptureConfig(
+                              compile_full_step=True)),
+                          optimizer=optimizer, capture=capture)
+        rng = np.random.default_rng(3)
+        losses = [tuner.step(rng.integers(0, model.config.vocab_size,
+                                          size=(2, 32)))[0]
+                  for _ in range(4)]
+        state = ([p.data.copy() for p in optimizer.params]
+                 + [m.copy() for m in optimizer._m]
+                 + [v.copy() for v in optimizer._v])
+        runs.append((losses, state, capture))
+    (base_losses, base_state, _), (losses, state, capture) = runs
+    assert capture.full_replays >= 1, capture.full_fail_reason
+    assert losses == base_losses
+    for a, b in zip(base_state, state):
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -375,22 +345,22 @@ def test_zero_allocations_after_capture(backend):
     try:
         tuner.step(ids)                            # warm-up (uncaptured)
         tuner.step(ids)                            # capture step (allocates)
-        assert capture.captures == 1
+        assert capture.state == capture.REPLAY
         capture_allocs = capture.last_step_allocations
         assert capture_allocs > 0                  # the capture step populates
         for _ in range(2):                         # steps N+1, N+2: replay
             tuner.step(ids)
             assert capture.last_step_allocations == 0, \
                 f"{backend}: captured steady state still allocates"
-        assert capture.replay_steps == 2
-        assert capture.fallbacks == 0
+        assert capture.state == capture.REPLAY
+        assert capture.recaptures == 0
     finally:
         if tuner.engine is not None:
             tuner.engine.uninstall(tuner.model)
 
 
-def _build_full_tuner(backend: str, seq: int = 32, threads: int = 1,
-                      predict_interval: int = 4):
+def _build_full_tuner(backend: str, seq: int = 32,
+                      predict_interval: int = 4, capture=None):
     """Like :func:`_build_tuner` but with the full-step compiler armed.
 
     ``predict_interval=4`` leaves reuse steps 2-4 between refreshes: capture
@@ -412,11 +382,10 @@ def _build_full_tuner(backend: str, seq: int = 32, threads: int = 1,
     if engine is not None:
         engine.install(model)
     optimizer = Adam(model.trainable_parameters(), lr=1e-3)
-    capture = StepCapture()
+    capture = capture or StepCapture()
     tuner = FineTuner(model,
                       TrainingConfig(capture=CaptureConfig(
-                          compile_full_step=True,
-                          executor_threads=threads)),
+                          compile_full_step=True)),
                       optimizer=optimizer, engine=engine, capture=capture)
     ids = rng.integers(0, model.config.vocab_size, size=(2, seq))
     return tuner, ids, capture
@@ -454,17 +423,21 @@ def test_full_step_zero_graph_builds_and_allocations(backend):
 @pytest.mark.alloc
 def test_full_step_refresh_steps_run_interpreted():
     # Mask-refresh steps cannot replay the compiled forward (probe logic is
-    # Python control flow); they must fall back to the interpreted step +
-    # PR-5 backward replay, then resume compiled replays while the layouts
-    # hold still (the batch is fixed, so they do).
+    # Python control flow); they must run interpreted over the arena, then
+    # resume compiled replays while the layouts hold still (the batch is
+    # fixed, so they do).
+    from repro.tensor.tensor import node_build_count
+
     tuner, ids, capture = _build_full_tuner("predicted", predict_interval=4)
     try:
         for _ in range(4):                         # warm-up, capture, 2 replays
             tuner.step(ids)
         assert capture.full_replays == 2
+        before = node_build_count()
         tuner.step(ids)                            # step 5: scheduled refresh
         assert capture.full_replays == 2           # compiled path skipped
-        assert capture.replay_steps >= 1           # PR-5 replay took the step
+        assert node_build_count() > before         # ran interpreted
+        assert capture.state == capture.REPLAY     # ... with the arena kept
         tuner.step(ids)                            # step 6: layouts unchanged
         assert capture.full_replays == 3           # compiled replay resumed
         assert capture.full_fallbacks == 0
@@ -482,7 +455,6 @@ def test_shape_change_triggers_exactly_one_recapture():
     short = ids[:, :16]
     tuner.step(short)                              # re-capture at new shape
     assert capture.recaptures == 1
-    assert capture.captures == 2
     tuner.step(short)                              # replay at new shape
     tuner.step(short)
     assert capture.recaptures == 1                 # exactly one
@@ -503,7 +475,7 @@ def test_alternating_shapes_trip_the_kill_switch():
         if capture.state == capture.OFF:
             break
     assert capture.state == capture.OFF
-    assert capture.replay_steps == 0          # no plan ever got replayed
+    assert capture.recaptures == capture.max_failures   # all sterile
     assert capture.arena.takes == 0           # retired pool dropped
     # Training keeps working uncaptured.
     loss, _ = tuner.step(ids)
@@ -537,27 +509,25 @@ def test_capture_gauges_reach_profiler():
         tuner.step(ids)
     gauges = tuner.profiler.summary_dict()["gauges"]
     for key in ("arena_allocations_step", "arena_bytes", "arena_hit_rate",
-                "arena_evictions", "capture_replay_steps",
-                "capture_recaptures", "capture_fallbacks",
+                "arena_evictions", "capture_recaptures",
                 "capture_full_captures", "capture_full_replays",
                 "capture_full_fallbacks"):
         assert key in gauges
     assert gauges["arena_allocations_step"] == 0.0
     assert gauges["arena_bytes"] > 0
-    assert gauges["capture_replay_steps"] >= 1.0
     assert capture.summary().startswith("StepCapture(")
 
 
 @pytest.mark.perf_smoke
 @pytest.mark.alloc
 def test_capture_mode_leaves_globals_clean():
-    from repro.tensor.tensor import current_tape
+    from repro.tensor import plan as tensor_plan
 
-    tuner, ids, _ = _build_tuner("dense")
+    tuner, ids, _ = _build_full_tuner("dense")
     for _ in range(3):
         tuner.step(ids)
     assert tensor_arena.active() is None
-    assert current_tape() is None
+    assert tensor_plan.recorder() is None
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +545,7 @@ def _build_streaming_tuner(streaming: bool, seq: int = 48, tile: int = 16,
                       TrainingConfig(
                           attention=AttentionConfig(streaming=streaming,
                                                     streaming_tile=tile),
-                          capture=CaptureConfig(compile_full_step=full,
-                                                executor_threads=1)),
+                          capture=CaptureConfig(compile_full_step=full)),
                       optimizer=optimizer, capture=capture)
     ids = rng.integers(0, model.config.vocab_size, size=(batch, seq))
     return tuner, ids, capture
@@ -586,7 +555,7 @@ def _build_streaming_tuner(streaming: bool, seq: int = 48, tile: int = 16,
 @pytest.mark.parametrize("full", [False, True], ids=["captured", "compiled"])
 def test_streaming_capture_replay_bitwise_identical(full):
     # The streaming kernels' recorded replay thunks must reproduce the
-    # interpreted streaming step bit for bit (executor_threads=1 contract);
+    # interpreted streaming step bit for bit;
     # seq=48 with tile=16 exercises multiple tiles per row block.
     from repro.tensor import fused
 
@@ -604,7 +573,7 @@ def test_streaming_capture_replay_bitwise_identical(full):
         assert base_losses == cap_losses
         for a, b in zip(base_params, cap_params):
             assert np.array_equal(a, b)
-        assert cap.captures >= 1
+        assert cap.state == cap.REPLAY
         if full:
             assert cap.full_captures >= 1 and cap.full_replays >= 1, \
                 cap.full_fail_reason
@@ -622,7 +591,7 @@ def test_streaming_zero_allocations_after_capture(full):
     try:
         tuner.step(ids)                            # warm-up
         tuner.step(ids)                            # capture (+ full compile)
-        assert capture.captures == 1
+        assert capture.state == capture.REPLAY
         if full:
             assert capture.full_captures == 1, capture.full_fail_reason
         for _ in range(2):
@@ -664,7 +633,7 @@ def test_replayed_steps_heap_steady(streaming):
     try:
         for _ in range(8):                         # warm-up, capture, replays
             tuner.step(ids)
-        assert capture.replay_steps >= 1
+        assert capture.state == capture.REPLAY
         gc.collect()
         tracemalloc.start()
         for _ in range(2):                         # stabilise tracer overhead
