@@ -121,6 +121,7 @@ from repro.sparsity.ops.block_sparse import (
     _pad_to_blocks,
     compute_block_geometry,
 )
+from repro.sparsity.ops.geometry_cache import block_element_mask, segment_geometry
 from repro.sparsity.ops.layout import LayoutPool
 from repro.sparsity.patterns import block_count, build_default_pool, causal_block_mask
 from repro.sparsity.predictor import AttentionPredictor
@@ -365,10 +366,11 @@ def pre_pr_block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout,
     forwards the toggle) keeps matching; this rollback predates streaming
     and only ever runs with it off.
 
-    Identical math and identical geometry handling to the current fused op,
-    but every softmax stage materialises its own temporary (``np.where``
-    masked fill, exp, mask multiply, divide) and the backward rebuilds dS
-    out of fresh buffers — exactly what the in-place fusion pass removed.
+    Identical math to the current fused op, but over per-block score stacks
+    with a segmented softmax, and every softmax stage materialises its own
+    temporary (``np.where`` masked fill, exp, mask multiply, divide) and the
+    backward rebuilds dS out of fresh buffers — what the in-place fusion
+    pass removed.
     ``sparse_chain.speedup`` in the report is measured against this.
     """
     if streaming:
@@ -385,16 +387,17 @@ def pre_pr_block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout,
 
     heads, rows, cols = layout.heads, layout.rows, layout.cols
     starts = layout.row_segment_starts
-    geom = (cache.lookup(layout, seq_len) if cache is not None
-            else compute_block_geometry(layout, seq_len))
-    seg_ids, seg_heads, seg_rows = geom.seg_ids, geom.seg_heads, geom.seg_rows
+    # The geometry cache no longer holds the segment ids and element masks
+    # this rollback reads; deriving them per call costs ~1 ms at s512.
+    del cache
+    seg_ids, seg_heads, seg_rows = segment_geometry(layout)
 
     q_blk = q_pad[:, heads, rows]
     k_blk = k_pad[:, heads, cols]
     v_blk = v_pad[:, heads, cols]
 
     scores = np.matmul(q_blk, np.swapaxes(k_blk, -1, -2)) * scale
-    allowed = geom.element_mask
+    allowed = block_element_mask(layout, seq_len)
     scores = np.where(allowed[None], scores, neg_inf)
 
     block_max = scores.max(axis=-1)
@@ -414,8 +417,7 @@ def pre_pr_block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout,
     out = out.reshape(batch, n_heads, padded_len, head_dim)[:, :, :seq_len]
 
     n_blocks = layout.n_blocks
-    col_order, col_starts = geom.col_order, geom.col_starts
-    col_seg_heads, col_seg_cols = geom.col_seg_heads, geom.col_seg_cols
+    col_order, col_starts, col_seg_heads, col_seg_cols = layout.col_geometry()
 
     def _scatter_to_cols(contrib: np.ndarray) -> np.ndarray:
         contrib_sorted = contrib[:, col_order]

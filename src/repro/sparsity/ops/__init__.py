@@ -12,8 +12,8 @@ Two families of kernels:
   active, with an optional transposed ("coalesced") weight layout mirroring
   the paper's memory-coalescing optimisation.
 
-The index geometry the block-sparse kernels derive from a layout (softmax
-segment boundaries, per-block element masks, the column-sorted backward
+The index geometry the block-sparse kernels derive from a layout (row-panel
+groups, the masks of partly-masked blocks, the column-sorted backward
 permutation) is memoized by
 :class:`repro.sparsity.ops.geometry_cache.LayoutGeometryCache`, keyed by
 layout content — repeated predicted patterns across fine-tuning steps pay

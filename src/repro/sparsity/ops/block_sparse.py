@@ -8,31 +8,31 @@ sparse matrix multiplications (paper Section VI-A):
 * **DSD** (``dense = sparse x dense``): the sparse probability blocks are
   multiplied with V to produce the dense context.
 
-Both are implemented as *block-gathered batched matmuls*: the active blocks
-of Q/K/V are gathered with fancy indexing into a ``(batch, nnz, block, ·)``
-stack and a single ``np.matmul`` call processes all of them, so the per-block
-work is done by BLAS and the Python overhead is independent of the number of
-blocks.  The row-wise softmax across blocks of the same query row uses
-:func:`_segment_reduce` (per-segment ``ufunc.reduce`` slabs, a drop-in for
-``reduceat``) over the (head, row)-sorted layout, which is why
-:class:`~repro.sparsity.ops.layout.MultiHeadLayout` guarantees that ordering.
-
-:1func:`block_sparse_attention` is the fused autograd op used during
-fine-tuning: its custom backward touches exactly the same blocks as the
-forward, realising the paper's observation that inactive positions drop out
-of the gradient computation as well.
+:func:`block_sparse_attention` is the fused autograd op used during
+fine-tuning.  It runs both products over **row panels**: the
+``(head, query-row)`` softmax segments are grouped by their number of
+active blocks ``l`` (:class:`~repro.sparsity.ops.geometry_cache.PanelGroup`),
+and each group's K/V blocks are gathered into contiguous ``l * block``-wide
+panels.  A segment's scores are then one ``block x l*block`` matmul, its
+softmax is a plain last-axis softmax, and its context and dQ rows are one
+matmul each that lands directly on the segment's row — the per-block work
+is done by BLAS and the Python overhead is one short loop over the groups.
+Only dK/dV, whose blocks are shared across query rows, go through a
+(head, key-column)-sorted segmented reduce.  The custom backward touches
+exactly the same blocks as the forward, realising the paper's observation
+that inactive positions drop out of the gradient computation as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.sparsity.ops.geometry_cache import (
+    BlockGeometry,
     LayoutGeometryCache,
-    block_element_mask,
     compute_block_geometry,
     segment_geometry,
 )
@@ -47,18 +47,17 @@ from repro.tensor.tensor import custom_op
 _NEG_INF = np.float32(-1e9)
 
 
-def _segment_reduce(ufunc, arr: np.ndarray, starts: np.ndarray,
-                    out: np.ndarray) -> np.ndarray:
-    """Per-segment ``ufunc.reduce`` along axis 1 (replaces ``reduceat``).
+def _segment_sum(arr: np.ndarray, starts: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """Per-segment sum along axis 1 (replaces ``np.add.reduceat``).
 
-    ``ufunc.reduceat`` walks its fast path element by element; a short Python
-    loop issuing one contiguous-slab ``ufunc.reduce`` per segment keeps the
-    reduction inside NumPy's pairwise SIMD loop instead — measured ~6x
-    (``add``) to ~13x (``maximum``) faster at the block-sparse softmax's
-    segment shapes, with the per-segment Python overhead amortised over the
-    whole ``(batch, ..., block)`` slab.  Edge semantics mirror ``reduceat``:
-    a length-1 (or degenerate empty) segment passes ``arr[:, starts[i]]``
-    through unchanged.
+    ``reduceat`` walks its fast path element by element; a short Python loop
+    issuing one contiguous-slab ``np.add.reduce`` per segment keeps the
+    reduction inside NumPy's pairwise SIMD loop instead (measured ~6x faster
+    at the dK/dV column-segment shapes), with the per-segment Python
+    overhead amortised over the whole ``(batch, ..., block)`` slab.  Edge
+    semantics mirror ``reduceat``: a length-1 (or degenerate empty) segment
+    passes ``arr[:, starts[i]]`` through unchanged.
     """
     n = arr.shape[1]
     n_seg = starts.shape[0]
@@ -68,13 +67,8 @@ def _segment_reduce(ufunc, arr: np.ndarray, starts: np.ndarray,
         if e - s <= 1:
             np.copyto(out[:, i], arr[:, s])
         else:
-            ufunc.reduce(arr[:, s:e], axis=1, out=out[:, i])
+            np.add.reduce(arr[:, s:e], axis=1, out=out[:, i])
     return out
-
-# Backwards-compatible aliases: the geometry helpers moved to
-# repro.sparsity.ops.geometry_cache so they can be memoized per layout.
-_segment_geometry = segment_geometry
-_block_element_mask = block_element_mask
 
 
 # ---------------------------------------------------------------------------
@@ -99,21 +93,54 @@ def _blockify(x: np.ndarray, block_size: int) -> np.ndarray:
     return x.reshape(batch, heads, n_blocks, block_size, dim)
 
 
-def _blockify_arena(x: np.ndarray, block_size: int) -> np.ndarray:
-    """Pad + blockify, routing any reshape copy through the buffer arena.
+def _stage_blocks(x: np.ndarray, block_size: int, alloc):
+    """View ``(batch, heads, seq, dim)`` as ``(batch, heads*n_blocks, bs, dim)``.
 
-    Contiguous inputs blockify as a free view (as before); non-contiguous
-    inputs (head-transposed Q/K/V) would silently copy inside ``reshape`` —
-    that copy lands in a recycled arena buffer instead.  Values identical.
+    Contiguous inputs are a free view; a head-transposed input would copy
+    inside ``reshape``, so it is staged into an ``alloc`` buffer instead.
+    Returns the block view and the ``(buffer, source)`` copy that refreshes
+    it, ``None`` for a plain view.
     """
-    x = _pad_to_blocks(x, block_size, axis=2)
     batch, heads, seq, dim = x.shape
-    n_blocks = seq // block_size
+    shape = (batch, heads * (seq // block_size), block_size, dim)
     if x.flags["C_CONTIGUOUS"]:
-        return x.reshape(batch, heads, n_blocks, block_size, dim)
-    buf = _arena.empty((batch, heads, n_blocks, block_size, dim), x.dtype)
-    np.copyto(buf.reshape(batch, heads, seq, dim), x)
-    return buf
+        return x.reshape(shape), None
+    buf = alloc(shape, x.dtype)
+    return buf, (buf.reshape(x.shape), x)
+
+
+def _flat_blocks(x: np.ndarray, block_size: int) -> np.ndarray:
+    """Pad and stage ``x`` now, any copy landing in a recycled arena buffer."""
+    flat, fill = _stage_blocks(_pad_to_blocks(x, block_size, axis=2),
+                               block_size, _arena.empty)
+    if fill is not None:
+        np.copyto(*fill)
+    return flat
+
+
+def _scatter_to_cols(contrib: np.ndarray, order: np.ndarray,
+                     geom: BlockGeometry) -> np.ndarray:
+    """Accumulate per-block dK/dV contributions onto their (head, col) blocks.
+
+    ``order`` maps each (head, col)-sorted block to its position in
+    ``contrib``; the sorted stack is summed per column with one contiguous
+    segmented reduce, and ``col_source`` places the sums (and a trailing
+    zero block for uncovered columns).  Returns
+    ``(batch, heads, n_blocks * bs, dim)``.
+    """
+    batch, _, bs, dim = contrib.shape
+    layout = geom.layout
+    contrib_sorted = np.take(contrib, order, axis=1, mode="clip",
+                             out=_arena.empty(contrib.shape, contrib.dtype))
+    n_cols = geom.col_starts.shape[0]
+    seg = _arena.empty((batch, n_cols + 1, bs, dim), contrib.dtype)
+    _segment_sum(contrib_sorted, geom.col_starts, seg)
+    seg[:, n_cols] = 0.0
+    out = np.take(seg, geom.col_source, axis=1, mode="clip",
+                  out=_arena.empty((batch, layout.n_heads * layout.n_blocks,
+                                    bs, dim), contrib.dtype))
+    _arena.release(contrib_sorted, seg)
+    return out.reshape(batch, layout.n_heads, layout.n_blocks * bs, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +197,7 @@ def block_sparse_dsd(blocks: BlockSparseMatrix, v: np.ndarray) -> np.ndarray:
     ctx_blk = np.matmul(blocks.data, v_blk)                     # (batch, nnz, bs, dim)
 
     starts = layout.row_segment_starts
-    _, seg_heads, seg_rows = _segment_geometry(layout)
+    _, seg_heads, seg_rows = segment_geometry(layout)
     ctx_seg = np.add.reduceat(ctx_blk, starts, axis=1)          # (batch, nseg, bs, dim)
     out = np.zeros((batch, layout.n_heads, layout.n_blocks, bs, dim), dtype=v.dtype)
     out[:, seg_heads, seg_rows] = ctx_seg
@@ -198,6 +225,95 @@ def dense_attention_reference(q: np.ndarray, k: np.ndarray, v: np.ndarray,
 # fused block-sparse attention (autograd op used during fine-tuning)
 # ---------------------------------------------------------------------------
 
+class _Panels:
+    """Forward buffers of the row-panel kernel and their per-group views.
+
+    ``alloc`` is ``np.empty`` for plan-owned buffers (recorded branch) or
+    the arena's ``empty`` (interpreted branch).  One flat score buffer holds
+    every group's ``(batch, n_segs, bs, l*bs)`` panel contiguously; it
+    leaves the forward as the *unnormalised* ``exp(s - rowmax)`` stack and
+    ``red`` as its row sums, which is all the backward reads.  The context
+    carries one trailing zero row for the uncovered (head, row) slots
+    ``row_source`` points at.
+    """
+
+    def __init__(self, geom: BlockGeometry, batch: int, head_dim: int,
+                 dtype, alloc):
+        bs = geom.layout.block_size
+        nseg, nnz = geom.q_gather.shape[0], geom.kv_gather.shape[0]
+        self.geom = geom
+        self.qs = alloc((batch, nseg, bs, head_dim), dtype)
+        self.kp = alloc((batch, nnz, bs, head_dim), dtype)
+        self.vp = alloc((batch, nnz, bs, head_dim), dtype)
+        self.scores = alloc((batch * nnz * bs * bs,), dtype)
+        self.red = alloc((batch, nseg, bs), dtype)
+        self.zero_rows = alloc((batch, nseg, bs), bool)
+        self.ctx = alloc((batch, nseg + 1, bs, head_dim), dtype)
+        self.groups = []
+        self.max_panel = 0          # largest group's score-panel size
+        for g in geom.groups:
+            n_segs, width = g.segs.stop - g.segs.start, g.length * bs
+            offset = batch * g.blocks.start * bs * bs
+            size = batch * n_segs * bs * width
+            self.max_panel = max(self.max_panel, size)
+            probs = self.scores[offset:offset + size]
+            self.groups.append((
+                g, self.qs[:, g.segs], _panel(self.kp, g, bs),
+                _panel(self.vp, g, bs),
+                probs.reshape(batch, n_segs, bs, width),
+                self.red[:, g.segs], self.zero_rows[:, g.segs],
+                self.ctx[:, g.segs]))
+
+
+def _panel(stack: np.ndarray, group, bs: int) -> np.ndarray:
+    """A group's panel-ordered blocks as ``(batch, n_segs, l*bs, dim)`` rows.
+
+    The reshape only splits and merges the contiguous block axes of a
+    C-contiguous stack, so it is always a view (matmuls write through it).
+    """
+    batch, _, _, dim = stack.shape
+    n_segs = group.segs.stop - group.segs.start
+    return stack[:, group.blocks].reshape(batch, n_segs, group.length * bs, dim)
+
+
+def _panel_forward(p: _Panels, scale: float, q_flat: np.ndarray,
+                   k_flat: np.ndarray, v_flat: np.ndarray,
+                   out_flat: np.ndarray) -> None:
+    """Row-panel SDD -> softmax -> DSD over the ``p`` buffers.
+
+    Shared verbatim by the recorded thunk and the interpreted path (bitwise
+    capture parity).  The softmax scale is folded into the gathered Q
+    blocks and the normalisation into the context rows (``E @ V / rowsum``
+    instead of a divide over the score panel); masks are applied only to
+    each group's leading partly-masked strip, and the post-exp re-zeroing
+    plus the zero-sum guard run only for groups with a query row that has
+    no valid key.
+    """
+    geom = p.geom
+    np.take(q_flat, geom.q_gather, axis=1, mode="clip", out=p.qs)
+    p.qs *= scale
+    np.take(k_flat, geom.kv_gather, axis=1, mode="clip", out=p.kp)
+    np.take(v_flat, geom.kv_gather, axis=1, mode="clip", out=p.vp)
+    for g, q, k, v, s, red, zero_rows, ctx in p.groups:
+        np.matmul(q, np.swapaxes(k, -1, -2), out=s)
+        if g.neg_mask is not None:
+            strip = s[..., :g.neg_mask.shape[-1]]
+            np.copyto(strip, _NEG_INF, where=g.neg_mask)
+        # Row max: fmax skips the NaN check that makes max ~1.3x slower.
+        np.fmax.reduce(s, axis=-1, out=red)
+        s -= red[..., None]
+        np.exp(s, out=s)
+        if g.empty_rows:              # every slot of such a row is in the strip
+            np.copyto(strip, 0.0, where=g.neg_mask)
+        s.sum(axis=-1, out=red)
+        if g.empty_rows:
+            _fused.guard_zero_rows(red, scratch=zero_rows)
+        np.matmul(s, v, out=ctx)
+        ctx /= red[..., None]
+    p.ctx[:, -1] = 0.0
+    np.take(p.ctx, geom.row_source, axis=1, mode="clip", out=out_flat)
+
+
 def block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout: MultiHeadLayout,
                            scale: Optional[float] = None,
                            cache: Optional[LayoutGeometryCache] = None,
@@ -215,10 +331,10 @@ def block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout: MultiHeadLay
         Score scaling; defaults to ``1/sqrt(head_dim)``.
     cache:
         Optional :class:`~repro.sparsity.ops.geometry_cache.LayoutGeometryCache`.
-        When given, the derived index geometry (softmax segments, element
-        masks, the column-sorted backward permutation) is looked up instead
-        of recomputed — repeated layouts across fine-tuning steps then pay
-        zero index-construction cost.  Results are identical either way.
+        When given, the derived index geometry (row panels, element masks,
+        the column-sorted backward permutation) is looked up instead of
+        recomputed — repeated layouts across fine-tuning steps then pay zero
+        index-construction cost.  Results are identical either way.
     streaming:
         Route through :func:`streaming_block_sparse_attention` (score
         scratch proportional to the number of query-row segments instead of
@@ -231,14 +347,13 @@ def block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout: MultiHeadLay
     compute and gradient work scale with ``layout.nnz`` rather than with the
     full ``seq²`` score matrix.
 
-    The whole SDD → masked-softmax → DSD chain is one tape node.  Forward and
-    backward reuse their big ``(batch, nnz, block, block)`` buffers in place
-    (masked fill / exp / normalise all mutate the score buffer; the softmax
-    backward mutates the dP buffer), so beyond the block gathers each pass
-    owns exactly one score-sized array — the same treatment
-    :func:`repro.tensor.fused.scaled_dot_product_attention` gives the dense
-    core.  With :func:`repro.tensor.fused.set_fused_kernels` disabled the
-    call routes to the primitive-composition twin
+    The whole SDD -> softmax -> DSD chain is one tape node over the row
+    panels (module docstring).  The forward keeps one score-sized buffer,
+    the unnormalised exponentials; the backward uses the
+    ``rowsum(dOut * Out)`` softmax delta, so dQ needs no reduction across
+    blocks and that buffer is its only score-sized input.  With
+    :func:`repro.tensor.fused.set_fused_kernels` disabled the call routes to
+    the primitive-composition twin
     :func:`repro.tensor.reference.block_sparse_attention` instead, so the
     sparse path participates in the same fused/taped A-B switch as the dense
     kernels.
@@ -258,25 +373,10 @@ def block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout: MultiHeadLay
 
     scale = float(scale) if scale is not None else float(1.0 / np.sqrt(head_dim))
     dtype = q.data.dtype
-
-    padded_len = layout.n_blocks * bs
-    heads, rows, cols = layout.heads, layout.rows, layout.cols
-    starts = layout.row_segment_starts
-    nnz = layout.nnz
     geom = (cache.lookup(layout, seq_len) if cache is not None
             else compute_block_geometry(layout, seq_len))
-    seg_ids, seg_heads, seg_rows = geom.seg_ids, geom.seg_heads, geom.seg_rows
     n_blocks = layout.n_blocks
-    n_row_segs = seg_heads.shape[0]
-    allowed_f32 = geom.element_mask_f32                          # (nnz, bs, bs)
-
-    # Block gathers as linearised ``np.take`` into recycled buffers (values
-    # identical to the fancy-indexed ``pad[:, heads, rows]`` form).
-    def _gather(pad: np.ndarray, gather_idx: np.ndarray) -> np.ndarray:
-        flat = pad.reshape(batch, n_heads * n_blocks, bs, -1)
-        return np.take(flat, gather_idx, axis=1, mode="clip",
-                       out=_arena.empty((batch, nnz, bs, flat.shape[-1]),
-                                        pad.dtype))
+    flat_shape = (batch, n_heads * n_blocks, bs, head_dim)
 
     rec = _plan._RECORDER
     if rec is not None and seq_len % bs != 0:
@@ -284,210 +384,71 @@ def block_sparse_attention(q: Tensor, k: Tensor, v: Tensor, layout: MultiHeadLay
         rec.fail("block-sparse attention over a padded sequence")
         rec = None
     if rec is not None:
-        # Recorded form: the whole SDD -> masked-softmax -> DSD chain over
-        # plan-owned buffers, replayed as one entry.  Identical instruction
-        # stream to the interpreted branch below — only buffer provenance
-        # differs (plain allocations, bound once; the arena must never
-        # reclaim plan state).
-        q_data, k_data, v_data = q.data, k.data, v.data
-
-        def _stage(x):
-            # Contiguous activations blockify as a free, stable view; the
-            # head-transposed layout needs a copy refreshed each replay.
-            if x.flags["C_CONTIGUOUS"]:
-                return x.reshape(batch, n_heads, n_blocks, bs, head_dim), None
-            buf = np.empty((batch, n_heads, n_blocks, bs, head_dim), x.dtype)
-            return buf, buf.reshape(batch, n_heads, seq_len, head_dim)
-
-        q_pad, q_fill = _stage(q_data)
-        k_pad, k_fill = _stage(k_data)
-        v_pad, v_fill = _stage(v_data)
-        copies = tuple((fill, src) for fill, src in
-                       ((q_fill, q_data), (k_fill, k_data), (v_fill, v_data))
-                       if fill is not None)
-        q_flat = q_pad.reshape(batch, n_heads * n_blocks, bs, head_dim)
-        k_flat = k_pad.reshape(batch, n_heads * n_blocks, bs, head_dim)
-        v_flat = v_pad.reshape(batch, n_heads * n_blocks, bs, head_dim)
-        q_blk = np.empty((batch, nnz, bs, head_dim), dtype)
-        k_blk = np.empty((batch, nnz, bs, head_dim), dtype)
-        v_blk = np.empty((batch, nnz, bs, head_dim), dtype)
-        k_blk_t = np.swapaxes(k_blk, -1, -2)
-        scores = np.empty((batch, nnz, bs, bs), dtype)
-        block_red = np.empty((batch, nnz, bs), dtype)
-        seg_red = np.empty((batch, n_row_segs, bs), dtype)
-        row_red = np.empty((batch, nnz, bs), dtype)
-        zero_rows = np.empty((batch, nnz, bs), bool)
-        ctx_blk = np.empty((batch, nnz, bs, head_dim), dtype)
-        ctx_seg = np.empty((batch, n_row_segs, bs, head_dim), dtype)
-        out5 = np.empty((batch, n_heads, n_blocks, bs, head_dim), dtype)
-        out5_flat = out5.reshape(batch, n_heads * n_blocks, bs, head_dim)
-        neg_mask = geom.neg_element_mask[None]
-        allowed = allowed_f32[None]
-        row_gather, col_gather = geom.row_gather, geom.col_gather
-        row_uncovered = geom.row_uncovered
+        # Recorded form: the panel chain over plan-owned buffers (the arena
+        # must never reclaim plan state), replayed as one entry.
+        staged = [_stage_blocks(x.data, bs, np.empty) for x in (q, k, v)]
+        copies = tuple(fill for _, fill in staged if fill is not None)
+        (q_flat, _), (k_flat, _), (v_flat, _) = staged
+        p = _Panels(geom, batch, head_dim, dtype, np.empty)
+        out_flat = np.empty(flat_shape, dtype)
 
         def run():
-            # The augmented assignments below are in-place ufunc calls; the
-            # nonlocal keeps ``scores`` a free variable (the rebinding is to
-            # the same buffer object every replay).
-            nonlocal scores
-            for fill, src in copies:
-                np.copyto(fill, src)
-            np.take(q_flat, row_gather, axis=1, mode="clip", out=q_blk)
-            np.take(k_flat, col_gather, axis=1, mode="clip", out=k_blk)
-            np.take(v_flat, col_gather, axis=1, mode="clip", out=v_blk)
-            np.matmul(q_blk, k_blk_t, out=scores)
-            scores *= scale
-            np.copyto(scores, _NEG_INF, where=neg_mask)
-            scores.max(axis=-1, out=block_red)
-            _segment_reduce(np.maximum, block_red, starts, seg_red)
-            np.take(seg_red, seg_ids, axis=1, mode="clip", out=row_red)
-            scores -= row_red[..., None]
-            np.exp(scores, out=scores)
-            np.multiply(scores, allowed, out=scores)
-            scores.sum(axis=-1, out=block_red)
-            _segment_reduce(np.add, block_red, starts, seg_red)
-            np.take(seg_red, seg_ids, axis=1, mode="clip", out=row_red)
-            _fused.guard_zero_rows(row_red, scratch=zero_rows)
-            scores /= row_red[..., None]
-            np.matmul(scores, v_blk, out=ctx_blk)
-            _segment_reduce(np.add, ctx_blk, starts, ctx_seg)
-            out5[:, seg_heads, seg_rows] = ctx_seg
-            if row_uncovered.size:
-                out5_flat[:, row_uncovered] = 0.0
+            for fill in copies:
+                np.copyto(*fill)
+            _panel_forward(p, scale, q_flat, k_flat, v_flat, out_flat)
 
         run()
         rec.record(run, tag="block_sparse_attention")
-        probs = scores                                           # (batch, nnz, bs, bs)
-        out = out5.reshape(batch, n_heads, padded_len, head_dim)[:, :, :seq_len]
     else:
-        q_pad = _blockify_arena(q.data, bs)
-        k_pad = _blockify_arena(k.data, bs)
-        v_pad = _blockify_arena(v.data, bs)
-
-        q_blk = _gather(q_pad, geom.row_gather)                  # (batch, nnz, bs, dim)
-        k_blk = _gather(k_pad, geom.col_gather)
-        v_blk = _gather(v_pad, geom.col_gather)
-        _arena.release(q_pad, k_pad, v_pad)
-
-        # Scores buffer: scaled, masked, exponentiated and normalised in
-        # place — it leaves this block as the probability stack, with no
-        # `np.where(...)` / exp / divide temporaries ever materialised.
-        scores = np.matmul(q_blk, np.swapaxes(k_blk, -1, -2),
-                           out=_arena.empty((batch, nnz, bs, bs), dtype))
-        scores *= scale
-        np.copyto(scores, _NEG_INF, where=geom.neg_element_mask[None])
-
-        # Row-wise softmax across blocks sharing a (head, query-row) segment.
-        block_max = scores.max(axis=-1,
-                               out=_arena.empty((batch, nnz, bs), dtype))
-        seg_max = _segment_reduce(np.maximum, block_max, starts,
-                                  _arena.empty((batch, n_row_segs, bs), dtype))
-        row_max = np.take(seg_max, seg_ids, axis=1, mode="clip",
-                          out=_arena.empty((batch, nnz, bs), dtype))
-        scores -= row_max[..., None]
-        _arena.release(block_max, seg_max, row_max)
-        np.exp(scores, out=scores)
-        np.multiply(scores, allowed_f32[None], out=scores)
-        block_sum = scores.sum(axis=-1,
-                               out=_arena.empty((batch, nnz, bs), dtype))
-        seg_sum = _segment_reduce(np.add, block_sum, starts,
-                                  _arena.empty((batch, n_row_segs, bs), dtype))
-        row_sum = np.take(seg_sum, seg_ids, axis=1, mode="clip",  # fresh gather: safe to fix up in place
-                          out=_arena.empty((batch, nnz, bs), dtype))
-        _fused.guard_zero_rows(row_sum)
-        scores /= row_sum[..., None]
-        _arena.release(block_sum, seg_sum, row_sum)
-        probs = scores                                           # (batch, nnz, bs, bs)
-
-    out_shape5 = (batch, n_heads, n_blocks, bs, head_dim)
-
-    def _scatter_to_rows(seg: np.ndarray, buf_dtype) -> np.ndarray:
-        """Place (head, row)-segment sums into a full block grid buffer."""
-        out_blocks = _arena.empty(out_shape5, buf_dtype)
-        out_blocks[:, seg_heads, seg_rows] = seg
-        if geom.row_uncovered.size:
-            out_blocks.reshape(batch, n_heads * n_blocks, bs, head_dim)[
-                :, geom.row_uncovered] = 0.0
-        return out_blocks
-
-    if rec is None:
-        ctx_blk = np.matmul(probs, v_blk,
-                            out=_arena.empty((batch, nnz, bs, head_dim), dtype))
-        ctx_seg = _segment_reduce(np.add, ctx_blk, starts,
-                                  _arena.empty((batch, n_row_segs, bs, head_dim),
-                                               dtype))
-        out = _scatter_to_rows(ctx_seg, dtype)
-        _arena.release(ctx_blk, ctx_seg)
-        out = out.reshape(batch, n_heads, padded_len, head_dim)[:, :, :seq_len]
-
-    col_order, col_starts = geom.col_order, geom.col_starts
-    col_seg_heads, col_seg_cols = geom.col_seg_heads, geom.col_seg_cols
-    n_col_segs = col_seg_heads.shape[0]
-
-    def _scatter_to_cols(contrib: np.ndarray) -> np.ndarray:
-        """Accumulate per-block contributions onto their (head, col) blocks."""
-        contrib_sorted = np.take(contrib, col_order, axis=1, mode="clip",
-                                 out=_arena.empty(contrib.shape, contrib.dtype))
-        seg = _segment_reduce(np.add, contrib_sorted, col_starts,
-                              _arena.empty((batch, n_col_segs, bs, head_dim),
-                                           np.float32))
-        _arena.release(contrib_sorted)
-        out_blocks = _arena.empty(out_shape5, np.float32)
-        out_blocks[:, col_seg_heads, col_seg_cols] = seg
-        if geom.col_uncovered.size:
-            out_blocks.reshape(batch, n_heads * n_blocks, bs, head_dim)[
-                :, geom.col_uncovered] = 0.0
-        _arena.release(seg)
-        return out_blocks.reshape(batch, n_heads, padded_len, head_dim)
+        q_flat, k_flat, v_flat = (_flat_blocks(x.data, bs) for x in (q, k, v))
+        p = _Panels(geom, batch, head_dim, dtype, _arena.empty)
+        out_flat = _arena.empty(flat_shape, dtype)
+        _panel_forward(p, scale, q_flat, k_flat, v_flat, out_flat)
+        _arena.release(q_flat, k_flat, v_flat, p.zero_rows)
+    padded = (batch, n_heads, n_blocks * bs, head_dim)
+    out = out_flat.reshape(padded)[:, :, :seq_len]
 
     def backward(grad_out: np.ndarray):
-        grad_out_pad = _blockify_arena(grad_out, bs)
-        dout_blk = _gather(grad_out_pad, geom.row_gather)        # (batch, nnz, bs, dim)
-        _arena.release(grad_out_pad)
-
-        # dV: P^T @ dOut accumulated onto (head, col) blocks.
-        dv_contrib = np.matmul(np.swapaxes(probs, -1, -2), dout_blk,
-                               out=_arena.empty((batch, nnz, bs, head_dim), dtype))
-        dv = _scatter_to_cols(dv_contrib)
-        _arena.release(dv_contrib)
-
-        # dP, then the softmax backward carried out in the same buffer
-        # (dS = probs * (dP - inner_row) * scale, written into dP).
-        dS = np.matmul(dout_blk, np.swapaxes(v_blk, -1, -2),
-                       out=_arena.empty((batch, nnz, bs, bs), dtype))
-        _arena.release(dout_blk)
-        inner_blk = np.einsum("...ij,...ij->...i", dS, probs,
-                              out=_arena.empty((batch, nnz, bs), dtype))
-        inner_seg = _segment_reduce(np.add, inner_blk, starts,
-                                    _arena.empty((batch, n_row_segs, bs), dtype))
-        inner_row = np.take(inner_seg, seg_ids, axis=1, mode="clip",
-                            out=_arena.empty((batch, nnz, bs), dtype))
-        dS -= inner_row[..., None]
-        _arena.release(inner_blk, inner_seg, inner_row)
-        dS *= probs
-        dS *= scale
-
-        # dQ: contributions land on (head, row) blocks — contiguous segments.
-        dq_contrib = np.matmul(dS, k_blk,
-                               out=_arena.empty((batch, nnz, bs, head_dim), dtype))
-        dq_seg = _segment_reduce(np.add, dq_contrib, starts,
-                                 _arena.empty((batch, n_row_segs, bs, head_dim),
-                                              np.float32))
-        dq = _scatter_to_rows(dq_seg, np.float32)
-        _arena.release(dq_contrib, dq_seg)
-        dq = dq.reshape(batch, n_heads, padded_len, head_dim)
-
-        # dK: dS^T @ Q accumulated onto (head, col) blocks.
-        dk_contrib = np.matmul(np.swapaxes(dS, -1, -2), q_blk,
-                               out=_arena.empty((batch, nnz, bs, head_dim), dtype))
-        dk = _scatter_to_cols(dk_contrib)
-        # The gathered blocks and the probability stack are dead once the
-        # three gradients exist; recycling them here lets the next layer's
-        # backward run in the very same (cache-hot) buffers.
-        _arena.release(dk_contrib, dS, q_blk, k_blk, v_blk, probs)
-
-        return (dq[:, :, :seq_len], dk[:, :, :seq_len], dv[:, :, :seq_len])
+        dout_flat = _flat_blocks(grad_out, bs)
+        dout = np.take(dout_flat, geom.q_gather, axis=1, mode="clip",
+                       out=_arena.empty(p.qs.shape, dtype))
+        _arena.release(dout_flat)
+        # With P = E / rowsum: dV = E^T dOut' and dS = E * (dOut' V^T - delta')
+        # for dOut' = dOut / rowsum and delta' = rowsum(dOut' * Out).
+        dout /= p.red[..., None]
+        delta = np.einsum("...ij,...ij->...i", dout, p.ctx[:, :-1],
+                          out=_arena.empty(p.red.shape, dtype))
+        dk_stack = _arena.empty(p.kp.shape, dtype)
+        dv_stack = _arena.empty(p.kp.shape, dtype)
+        dq_rows = _arena.empty(p.ctx.shape, dtype)
+        dp_buf = _arena.empty((p.max_panel,), dtype)
+        for g, q_g, k_g, v_g, s, _, _, _ in p.groups:
+            dout_g = dout[:, g.segs]
+            np.matmul(np.swapaxes(s, -1, -2), dout_g,
+                      out=_panel(dv_stack, g, bs))
+            # dS = E * (dP' - delta'), in the dP scratch.
+            dp = dp_buf[:s.size].reshape(s.shape)
+            np.matmul(dout_g, np.swapaxes(v_g, -1, -2), out=dp)
+            dp -= delta[:, g.segs, :, None]
+            dp *= s
+            np.matmul(dp, k_g, out=dq_rows[:, g.segs])
+            # q_g carries the scale already: dK = dS^T (scale * Q).
+            np.matmul(np.swapaxes(dp, -1, -2), q_g,
+                      out=_panel(dk_stack, g, bs))
+        _arena.release(dout, delta, dp_buf)
+        dq_rows[:, -1] = 0.0
+        dq_rows *= scale
+        dq = np.take(dq_rows, geom.row_source, axis=1, mode="clip",
+                     out=_arena.empty(flat_shape, dtype))
+        dk = _scatter_to_cols(dk_stack, geom.col_order, geom)
+        dv = _scatter_to_cols(dv_stack, geom.col_order, geom)
+        # The forward buffers are dead once the three gradients exist;
+        # recycling them lets the next layer's backward reuse them.  In the
+        # recorded branch they are plan-owned and release ignores them.
+        _arena.release(dq_rows, dk_stack, dv_stack, p.qs, p.kp, p.vp,
+                       p.scores, p.red, p.ctx)
+        return (dq.reshape(padded)[:, :, :seq_len], dk[:, :, :seq_len],
+                dv[:, :, :seq_len])
 
     return custom_op(out, (q, k, v), backward)
 
@@ -582,7 +543,7 @@ def streaming_block_sparse_attention(q: Tensor, k: Tensor, v: Tensor,
     neg_mask, mask_f32 = st.neg_mask, st.mask_f32
     q_gather, kv_gather = st.q_gather, st.kv_gather
     seg_heads, seg_rows = st.seg_heads, st.seg_rows
-    row_uncovered = geom.row_uncovered
+    row_uncovered = st.row_uncovered
     out_shape5 = (batch, n_heads, n_blocks, bs, head_dim)
 
     rec = _plan._RECORDER
@@ -590,23 +551,9 @@ def streaming_block_sparse_attention(q: Tensor, k: Tensor, v: Tensor,
         rec.fail("streaming block-sparse attention over a padded sequence")
         rec = None
     if rec is not None:
-        q_data, k_data, v_data = q.data, k.data, v.data
-
-        def _stage(x):
-            if x.flags["C_CONTIGUOUS"]:
-                return x.reshape(batch, n_heads, n_blocks, bs, head_dim), None
-            buf = np.empty((batch, n_heads, n_blocks, bs, head_dim), x.dtype)
-            return buf, buf.reshape(batch, n_heads, seq_len, head_dim)
-
-        q_pad, q_fill = _stage(q_data)
-        k_pad, k_fill = _stage(k_data)
-        v_pad, v_fill = _stage(v_data)
-        copies = tuple((fill, src) for fill, src in
-                       ((q_fill, q_data), (k_fill, k_data), (v_fill, v_data))
-                       if fill is not None)
-        q_flat = q_pad.reshape(batch, n_heads * n_blocks, bs, head_dim)
-        k_flat = k_pad.reshape(batch, n_heads * n_blocks, bs, head_dim)
-        v_flat = v_pad.reshape(batch, n_heads * n_blocks, bs, head_dim)
+        staged = [_stage_blocks(x.data, bs, np.empty) for x in (q, k, v)]
+        copies = tuple(fill for _, fill in staged if fill is not None)
+        (q_flat, _), (k_flat, _), (v_flat, _) = staged
         q_seg = np.empty((batch, nseg, bs, head_dim), dtype)
         k_stream = np.empty((batch, nnz, bs, head_dim), dtype)
         v_stream = np.empty((batch, nnz, bs, head_dim), dtype)
@@ -622,8 +569,8 @@ def streaming_block_sparse_attention(q: Tensor, k: Tensor, v: Tensor,
         out5_flat = out5.reshape(batch, n_heads * n_blocks, bs, head_dim)
 
         def run():
-            for fill, src in copies:
-                np.copyto(fill, src)
+            for fill in copies:
+                np.copyto(*fill)
             np.take(q_flat, q_gather, axis=1, mode="clip", out=q_seg)
             np.take(k_flat, kv_gather, axis=1, mode="clip", out=k_stream)
             np.take(v_flat, kv_gather, axis=1, mode="clip", out=v_stream)
@@ -636,19 +583,14 @@ def streaming_block_sparse_attention(q: Tensor, k: Tensor, v: Tensor,
         rec.record(run, tag="streaming_block_sparse_attention")
         out = out5.reshape(batch, n_heads, padded_len, head_dim)[:, :, :seq_len]
     else:
-        q_pad = _blockify_arena(q.data, bs)
-        k_pad = _blockify_arena(k.data, bs)
-        v_pad = _blockify_arena(v.data, bs)
-        q_flat = q_pad.reshape(batch, n_heads * n_blocks, bs, head_dim)
-        k_flat = k_pad.reshape(batch, n_heads * n_blocks, bs, head_dim)
-        v_flat = v_pad.reshape(batch, n_heads * n_blocks, bs, head_dim)
+        q_flat, k_flat, v_flat = (_flat_blocks(x.data, bs) for x in (q, k, v))
         q_seg = np.take(q_flat, q_gather, axis=1, mode="clip",
                         out=_arena.empty((batch, nseg, bs, head_dim), dtype))
         k_stream = np.take(k_flat, kv_gather, axis=1, mode="clip",
                            out=_arena.empty((batch, nnz, bs, head_dim), dtype))
         v_stream = np.take(v_flat, kv_gather, axis=1, mode="clip",
                            out=_arena.empty((batch, nnz, bs, head_dim), dtype))
-        _arena.release(q_pad, k_pad, v_pad)
+        _arena.release(q_flat, k_flat, v_flat)
         s_buf = _arena.empty((batch, nseg, bs, bs), dtype)
         red = _arena.empty((batch, nseg, bs), dtype)
         corr = _arena.empty((batch, nseg, bs), dtype)
@@ -667,36 +609,12 @@ def streaming_block_sparse_attention(q: Tensor, k: Tensor, v: Tensor,
         _arena.release(s_buf, red, corr, m_buf, zero_rows, pv)
         out = out5.reshape(batch, n_heads, padded_len, head_dim)[:, :, :seq_len]
 
-    col_starts = geom.col_starts
-    col_seg_heads, col_seg_cols = geom.col_seg_heads, geom.col_seg_cols
-    n_col_segs = col_seg_heads.shape[0]
-    stream_col_order = st.col_order
-
-    def _scatter_stream_to_cols(contrib: np.ndarray) -> np.ndarray:
-        """Accumulate stream-ordered contributions onto (head, col) blocks."""
-        contrib_sorted = np.take(contrib, stream_col_order, axis=1,
-                                 mode="clip",
-                                 out=_arena.empty(contrib.shape, contrib.dtype))
-        seg = _segment_reduce(np.add, contrib_sorted, col_starts,
-                              _arena.empty((batch, n_col_segs, bs, head_dim),
-                                           np.float32))
-        _arena.release(contrib_sorted)
-        out_blocks = _arena.empty(out_shape5, np.float32)
-        out_blocks[:, col_seg_heads, col_seg_cols] = seg
-        if geom.col_uncovered.size:
-            out_blocks.reshape(batch, n_heads * n_blocks, bs, head_dim)[
-                :, geom.col_uncovered] = 0.0
-        _arena.release(seg)
-        return out_blocks.reshape(batch, n_heads, padded_len, head_dim)
-
     def backward(grad_out: np.ndarray):
-        grad_out_pad = _blockify_arena(grad_out, bs)
-        dout_flat = grad_out_pad.reshape(batch, n_heads * n_blocks, bs,
-                                         head_dim)
+        dout_flat = _flat_blocks(grad_out, bs)
         dout_seg = np.take(dout_flat, q_gather, axis=1, mode="clip",
                            out=_arena.empty((batch, nseg, bs, head_dim),
                                             dtype))
-        _arena.release(grad_out_pad)
+        _arena.release(dout_flat)
 
         # delta = rowsum(dOut * Out) per segment row (acc holds the
         # normalised per-segment output blocks).
@@ -737,9 +655,9 @@ def streaming_block_sparse_attention(q: Tensor, k: Tensor, v: Tensor,
                       out=dk_stack[:, o0:o1])
         _arena.release(sb, dpb, dq_scratch, dout_seg, delta)
 
-        dv = _scatter_stream_to_cols(dv_stack)
+        dv = _scatter_to_cols(dv_stack, st.col_order, geom)
         _arena.release(dv_stack)
-        dk = _scatter_stream_to_cols(dk_stack)
+        dk = _scatter_to_cols(dk_stack, st.col_order, geom)
         _arena.release(dk_stack)
 
         dq5 = _arena.empty(out_shape5, np.float32)

@@ -1,25 +1,29 @@
 """Cached block-sparse geometry: the index work behind the sparse kernels.
 
-:func:`~repro.sparsity.ops.block_sparse.block_sparse_attention` needs three
+:func:`~repro.sparsity.ops.block_sparse.block_sparse_attention` needs two
 pieces of derived geometry besides the layout's raw ``(head, row, col)``
 arrays:
 
-* the **segment geometry** — which contiguous runs of active blocks share a
-  ``(head, query-row)`` softmax segment (``np.*.reduceat`` boundaries);
-* the **element mask** — the ``(nnz, block, block)`` boolean validity mask
-  enforcing causality inside diagonal blocks and the true sequence length;
+* the **panel geometry** — the ``(head, query-row)`` softmax segments
+  grouped by their number of active blocks ``l``.  Each group gathers its
+  K/V blocks into contiguous ``l * block``-wide panels (segment-major), so
+  one query row's softmax is a plain last-axis softmax over one panel row.
+  Element masks (causality inside diagonal blocks, the true sequence
+  length) are kept only for the partly-masked slots, which the geometry
+  moves to the front of each segment;
 * the **column geometry** — the ``(head, key-column)``-sorted permutation
   that turns the backward pass's dK/dV scatter into a contiguous segmented
   reduce.
 
-All three depend only on ``(layout contents, seq_len)``.  Predicted patterns
-repeat heavily across fine-tuning steps (the predictor chooses from a small
-pattern pool, and the layout pool already canonicalises combinations), so
-the seed's recompute-per-forward-call behaviour paid the full index cost —
-including the ``nnz * block²`` element-mask construction — on every layer of
-every step.  :class:`LayoutGeometryCache` memoizes the bundle under an LRU
-keyed by a content signature of the layout plus the sequence length, making
-repeated steps pure dictionary hits.
+The streaming kernel's prefix-scheduled bundle (:class:`StreamGeometry`) is
+derived on first use and kept on the same entry.
+
+All of it depends only on ``(layout contents, seq_len)``.  Predicted
+patterns repeat heavily across fine-tuning steps (the predictor chooses from
+a small pattern pool, and the layout pool already canonicalises
+combinations), so :class:`LayoutGeometryCache` memoizes the bundle under an
+LRU keyed by a content signature of the layout plus the sequence length,
+making repeated steps pure dictionary hits.
 
 The cache is *purely* a memoization: a lookup returns byte-identical arrays
 to a fresh computation (asserted by the test suite), so enabling it can
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Tuple
+from typing import Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +42,7 @@ from repro.sparsity.ops.layout import MultiHeadLayout
 
 __all__ = [
     "BlockGeometry",
+    "PanelGroup",
     "StreamGeometry",
     "LayoutGeometryCache",
     "compute_block_geometry",
@@ -51,10 +56,12 @@ def segment_geometry(layout: MultiHeadLayout
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (segment ids per block, segment heads, segment rows)."""
     starts = layout.row_segment_starts
-    nnz = layout.nnz
-    seg_lengths = np.diff(np.append(starts, nnz))
-    seg_ids = np.repeat(np.arange(starts.shape[0]), seg_lengths)
+    seg_ids = np.repeat(np.arange(starts.shape[0]), _segment_lengths(layout))
     return seg_ids, layout.heads[starts], layout.rows[starts]
+
+
+def _segment_lengths(layout: MultiHeadLayout) -> np.ndarray:
+    return np.diff(np.append(layout.row_segment_starts, layout.nnz))
 
 
 def block_element_mask(layout: MultiHeadLayout, seq_len: int) -> np.ndarray:
@@ -70,6 +77,11 @@ def block_element_mask(layout: MultiHeadLayout, seq_len: int) -> np.ndarray:
     allowed = q_pos[:, :, None] >= k_pos[:, None, :]
     allowed &= k_pos[:, None, :] < seq_len
     return allowed
+
+
+def _linear(heads: np.ndarray, blocks: np.ndarray, n_blocks: int) -> np.ndarray:
+    """Linear ``head * n_blocks + block`` slot index (int64)."""
+    return heads.astype(np.int64) * np.int64(n_blocks) + blocks
 
 
 @dataclass(frozen=True)
@@ -100,46 +112,65 @@ class StreamGeometry:
     mask_f32: np.ndarray        # (nnz, bs, bs) float32 element mask, stream order
     seg_heads: np.ndarray       # (nseg,) segment head, permuted by ``order``
     seg_rows: np.ndarray        # (nseg,) segment row, permuted by ``order``
+    row_uncovered: np.ndarray   # linear (head, row) slots without a segment
 
 
 @dataclass(frozen=True)
-class BlockGeometry:
-    """Everything :func:`block_sparse_attention` derives from (layout, seq_len)."""
+class PanelGroup:
+    """The (head, query-row) segments that have exactly ``length`` blocks.
 
-    seg_ids: np.ndarray
-    seg_heads: np.ndarray
-    seg_rows: np.ndarray
-    element_mask: np.ndarray           # (nnz, block, block) bool
-    col_order: np.ndarray
-    col_starts: np.ndarray
-    col_seg_heads: np.ndarray
-    col_seg_cols: np.ndarray
-    # Derived forms of element_mask kept so the fused in-place chain never
-    # negates or bool->float casts the mask on the hot path.
-    neg_element_mask: np.ndarray = None    # ~element_mask, for masked fill
-    element_mask_f32: np.ndarray = None    # element_mask as float32 multiplier
-    # Linearised gather/scatter indices for the arena-aware kernel: block
-    # gathers run through ``np.take(..., out=)`` (no fancy-indexing
-    # temporary), and the scatter targets zero only the uncovered
-    # (head, block) slots of a recycled output buffer instead of a full fill.
-    row_gather: np.ndarray = None          # heads * n_blocks + rows (int64)
-    col_gather: np.ndarray = None          # heads * n_blocks + cols (int64)
-    row_uncovered: np.ndarray = None       # linear (head, row) slots w/o segment
-    col_uncovered: np.ndarray = None       # linear (head, col) slots w/o segment
-    # Streaming-kernel bundle (always derived; the cache hands out one frozen
-    # object per (layout, seq_len) so both kernels share an entry).
-    stream: StreamGeometry = None
+    ``segs`` slices the grouped segment axis (the gathered Q blocks, the
+    context and dQ rows) and ``blocks`` the panel-ordered block axis (the
+    gathered K/V blocks and the dK/dV contributions); a group's K/V panel
+    is ``blocks`` viewed as ``(n_segs, length * bs)`` rows.  ``neg_mask``
+    covers only the leading partly-masked slots of each segment, ``None``
+    when every slot in the group is fully valid.  ``empty_rows`` flags a
+    query row with no valid key at all (non-causal blocks): only then does
+    the kernel re-zero masked probabilities and guard the softmax sum.
+    """
+
+    length: int
+    segs: slice
+    blocks: slice
+    neg_mask: Optional[np.ndarray]   # (n_segs, bs, masked_slots * bs) bool
+    empty_rows: bool
+
+
+@dataclass(frozen=True, eq=False)
+class BlockGeometry:
+    """Everything the block-sparse kernels derive from (layout, seq_len)."""
+
+    layout: MultiHeadLayout
+    seq_len: int
+    groups: Tuple[PanelGroup, ...]
+    q_gather: np.ndarray        # (nseg,) linear (head, row) slot, grouped order
+    kv_gather: np.ndarray       # (nnz,) linear (head, col) slot, panel order
+    # (heads * n_blocks,) grouped segment of each (head, row) slot; ``nseg``
+    # (an all-zero row the kernel appends) for slots without a segment.
+    row_source: np.ndarray
+    col_order: np.ndarray       # (nnz,) panel position of each col-sorted block
+    col_starts: np.ndarray      # (n_cols,) segment starts in col-sorted order
+    # (heads * n_blocks,) column segment of each (head, col) slot; ``n_cols``
+    # (an appended zero block) for slots without one.
+    col_source: np.ndarray
+    _stream: Optional[StreamGeometry] = None
+
+    @property
+    def stream(self) -> StreamGeometry:
+        """Streaming-kernel bundle, derived on first use and kept here."""
+        if self._stream is None:
+            object.__setattr__(self, "_stream",
+                               compute_stream_geometry(self.layout,
+                                                       self.seq_len))
+        return self._stream
 
 
 def compute_stream_geometry(layout: MultiHeadLayout,
-                            seg_heads: np.ndarray, seg_rows: np.ndarray,
-                            element_mask: np.ndarray, col_order: np.ndarray,
-                            row_gather: np.ndarray, col_gather: np.ndarray
-                            ) -> StreamGeometry:
-    """Derive the streaming-order bundle from the base geometry pieces."""
+                            seq_len: int) -> StreamGeometry:
+    """Derive the streaming-order bundle of ``layout`` at ``seq_len``."""
     starts = layout.row_segment_starts
     nnz = layout.nnz
-    seg_lengths = np.diff(np.append(starts, nnz))
+    seg_lengths = _segment_lengths(layout)
     order = np.argsort(-seg_lengths, kind="stable")
     sorted_lengths = seg_lengths[order]
     max_len = int(sorted_lengths[0]) if sorted_lengths.size else 0
@@ -155,48 +186,86 @@ def compute_stream_geometry(layout: MultiHeadLayout,
         s2l = np.zeros(0, dtype=np.int64)
     l2s = np.empty(nnz, dtype=np.int64)
     l2s[s2l] = np.arange(nnz, dtype=np.int64)
+    element_mask = block_element_mask(layout, seq_len)[s2l]
+    seg_heads, seg_rows = layout.heads[starts], layout.rows[starts]
+    n_blocks = layout.n_blocks
     return StreamGeometry(
         order=order.astype(np.int64),
         counts=counts,
         offsets=offsets,
-        q_gather=row_gather[starts][order],
-        kv_gather=col_gather[s2l],
-        col_order=l2s[col_order],
-        neg_mask=np.ascontiguousarray(~element_mask[s2l]),
-        mask_f32=np.ascontiguousarray(
-            element_mask[s2l].astype(np.float32)),
+        q_gather=_linear(seg_heads, seg_rows, n_blocks)[order],
+        kv_gather=_linear(layout.heads, layout.cols, n_blocks)[s2l],
+        col_order=l2s[layout.col_geometry()[0]],
+        neg_mask=~element_mask,
+        mask_f32=element_mask.astype(np.float32),
         seg_heads=seg_heads[order],
         seg_rows=seg_rows[order],
+        row_uncovered=np.setdiff1d(
+            np.arange(layout.n_heads * n_blocks, dtype=np.int64),
+            _linear(seg_heads, seg_rows, n_blocks)),
     )
 
 
 def compute_block_geometry(layout: MultiHeadLayout, seq_len: int) -> BlockGeometry:
     """Derive the full geometry bundle from scratch (the uncached path)."""
-    seg_ids, seg_heads, seg_rows = segment_geometry(layout)
+    bs = layout.block_size
+    n_blocks = layout.n_blocks
+    starts = layout.row_segment_starts
+    lengths = _segment_lengths(layout)
+    allowed = block_element_mask(layout, seq_len)              # (nnz, bs, bs)
+    partial = ~allowed.all(axis=(1, 2))
+    row_valid = allowed.any(axis=2)                            # (nnz, bs)
+    seg_linear = _linear(layout.heads[starts], layout.rows[starts], n_blocks)
+
+    empty = np.zeros(0, np.int64)
+    groups, seg_order, panel = [], [empty], [empty]
+    n_segs_done = n_blocks_done = 0
+    for length in np.unique(lengths):
+        length = int(length)
+        segs = np.flatnonzero(lengths == length)
+        blocks = starts[segs][:, None] + np.arange(length)[None, :]
+        # Partly-masked slots first (stable), so one leading strip of each
+        # segment's panel row carries every element mask of the group.
+        blocks = np.take_along_axis(
+            blocks, np.argsort(~partial[blocks], axis=1, kind="stable"), axis=1)
+        masked = int(partial[blocks].sum(axis=1).max())
+        neg_mask = None
+        if masked:
+            strip = allowed[blocks[:, :masked]]                # (n, m, bs, bs)
+            neg_mask = ~strip.transpose(0, 2, 1, 3).reshape(len(segs), bs,
+                                                            masked * bs)
+        empty_rows = bool((~row_valid[blocks].any(axis=1)).any())
+        n_segs, n_panel = len(segs), blocks.size
+        groups.append(PanelGroup(
+            length=length,
+            segs=slice(n_segs_done, n_segs_done + n_segs),
+            blocks=slice(n_blocks_done, n_blocks_done + n_panel),
+            neg_mask=neg_mask, empty_rows=empty_rows))
+        n_segs_done += n_segs
+        n_blocks_done += n_panel
+        seg_order.append(segs)
+        panel.append(blocks.ravel())
+
+    q_gather = seg_linear[np.concatenate(seg_order)]
+    panel = np.concatenate(panel).astype(np.int64)
     col_order, col_starts, col_seg_heads, col_seg_cols = layout.col_geometry()
-    element_mask = block_element_mask(layout, seq_len)
-    n_blocks = np.int64(layout.n_blocks)
-    all_slots = np.arange(layout.n_heads * layout.n_blocks, dtype=np.int64)
-    row_gather = layout.heads.astype(np.int64) * n_blocks + layout.rows
-    col_gather = layout.heads.astype(np.int64) * n_blocks + layout.cols
-    stream = compute_stream_geometry(layout, seg_heads, seg_rows,
-                                     element_mask, col_order,
-                                     row_gather, col_gather)
     return BlockGeometry(
-        seg_ids=seg_ids, seg_heads=seg_heads, seg_rows=seg_rows,
-        element_mask=element_mask,
-        col_order=col_order, col_starts=col_starts,
-        col_seg_heads=col_seg_heads, col_seg_cols=col_seg_cols,
-        neg_element_mask=~element_mask,
-        element_mask_f32=element_mask.astype(np.float32),
-        row_gather=row_gather,
-        col_gather=col_gather,
-        row_uncovered=np.setdiff1d(
-            all_slots, seg_heads.astype(np.int64) * n_blocks + seg_rows),
-        col_uncovered=np.setdiff1d(
-            all_slots, col_seg_heads.astype(np.int64) * n_blocks + col_seg_cols),
-        stream=stream,
+        layout=layout, seq_len=int(seq_len), groups=tuple(groups),
+        q_gather=q_gather,
+        kv_gather=_linear(layout.heads, layout.cols, n_blocks)[panel],
+        row_source=_source(q_gather, layout.n_heads * n_blocks),
+        col_order=_source(panel, layout.nnz)[col_order],
+        col_starts=col_starts,
+        col_source=_source(_linear(col_seg_heads, col_seg_cols, n_blocks),
+                           layout.n_heads * n_blocks),
     )
+
+
+def _source(slots: np.ndarray, n_slots: int) -> np.ndarray:
+    """Inverse of ``slots``: entry ``i`` of each slot, ``len(slots)`` if absent."""
+    source = np.full(n_slots, slots.shape[0], dtype=np.int64)
+    source[slots] = np.arange(slots.shape[0], dtype=np.int64)
+    return source
 
 
 class LayoutGeometryCache:

@@ -15,9 +15,8 @@ This module implements the two-stage approach of the paper's Figure 6:
   cost that was moved offline.
 
 The layout is sorted by ``(head, query_row_block)`` and carries the row-
-segment boundaries needed by the block-sparse softmax (``np.*.reduceat``
-works on contiguous segments), as well as everything the backward pass needs
-to scatter gradients back.
+segment boundaries the block-sparse kernels group into row panels, as well
+as everything the backward pass needs to scatter gradients back.
 """
 
 from __future__ import annotations

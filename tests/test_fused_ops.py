@@ -273,7 +273,12 @@ class TestLayoutGeometryCache:
         g1 = cache.lookup(layout, 30)
         g2 = cache.lookup(layout, 32)
         assert cache.misses == 2
-        assert g1.element_mask.sum() != g2.element_mask.sum()
+        # The padded key columns of the last diagonal block are masked only
+        # at seq 30, so the partly-masked strips differ.
+        def masked(geom):
+            return sum(int(g.neg_mask.sum()) for g in geom.groups
+                       if g.neg_mask is not None)
+        assert masked(g1) != masked(g2)
 
     def test_lru_bound(self):
         cache = LayoutGeometryCache(maxsize=2)

@@ -276,6 +276,40 @@ def test_bench_geometry_lookup_beats_compute():
     assert result["lookup_s"] < result["compute_s"]
 
 
+def _array_bytes(obj) -> int:
+    """Bytes of every array a geometry entry holds (the layout excluded)."""
+    import dataclasses
+
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, (tuple, list)):
+        return sum(_array_bytes(item) for item in obj)
+    if dataclasses.is_dataclass(obj):
+        return sum(_array_bytes(getattr(obj, f.name))
+                   for f in dataclasses.fields(obj) if f.name != "layout")
+    return 0
+
+
+def test_geometry_entry_footprint_is_bounded():
+    # One cache entry for the bench's s512 chain layout (675 active blocks
+    # of 32x32) held ~7.6 MB of dense per-block masks for kernels that were
+    # not running; the panel geometry keeps masks only for partly-masked
+    # slots (~146 KB), and the streaming bundle is derived on demand.
+    from repro.sparsity.ops import LayoutGeometryCache, block_sparse_attention
+    from repro.tensor import Tensor
+
+    layout = bench._chain_layout(512)
+    cache = LayoutGeometryCache()
+    entry = cache.lookup(layout, 512)
+    assert entry._stream is None
+    assert _array_bytes(entry) <= 256 * 1024
+    # The streaming kernel derives its bundle into the same entry.
+    x = Tensor(np.zeros((1, layout.n_heads, 512, 4), np.float32))
+    block_sparse_attention(x, x, x, layout, cache=cache, streaming=True)
+    assert cache.lookup(layout, 512) is entry and entry._stream is not None
+    assert cache.misses == 1
+
+
 def test_bench_long_context_structure():
     # Miniature lengths keep this structural (64 fits one streaming tile, so
     # peak_ratio ~ 1 is expected there); the real wall figures come from the

@@ -696,3 +696,102 @@ def test_seq4096_streaming_breaks_memory_wall():
         if tracemalloc.is_tracing():
             tracemalloc.stop()
         fused.set_streaming_attention(False)
+
+
+# ---------------------------------------------------------------------------
+# row-panel block-sparse attention under capture
+# ---------------------------------------------------------------------------
+#
+# The materializing block-sparse kernel's buffers are shaped by the layout's
+# panel groups (segments grouped by active-block count).  The predictors are
+# pinned to a refresh schedule so the layouts, and with them the set of
+# groups, provably change at a refresh.
+
+_PANEL_SEQ = 128              # 8 blocks of 16: segments of 1..8 blocks
+_PANEL_INTERVAL = 3
+_PANEL_SCHEDULE = (["local2"] * 4,
+                   ["dense", "local4+global1", "strided2+local2", "diag"])
+
+
+def _panel_tuner(full: bool, schedule=_PANEL_SCHEDULE):
+    """Predicted-mode opt-tiny tuner whose refresh ``i`` uses ``schedule[i % n]``."""
+    from repro.sparsity.ops.geometry_cache import compute_block_geometry
+
+    model = build_model("opt-tiny", seed=0)
+    rng = np.random.default_rng(5)
+    engine = LongExposure(LongExposureConfig(
+        block_size=16, seed=0, predictor_epochs=2,
+        predict_interval=_PANEL_INTERVAL, calibration_lengths=(_PANEL_SEQ,)))
+    engine.prepare(model, [rng.integers(0, model.config.vocab_size,
+                                        size=(2, _PANEL_SEQ))])
+    for predictor in engine.attention_predictors:
+        predictor.predict_patterns = lambda x: list(schedule[
+            engine.step_index // _PANEL_INTERVAL % len(schedule)])
+    apply_lora(model)
+    engine.install(model)
+    tuner = FineTuner(model,
+                      TrainingConfig(capture=CaptureConfig(
+                          compile_full_step=full)),
+                      optimizer=Adam(model.trainable_parameters(), lr=1e-3),
+                      engine=engine, capture=StepCapture())
+
+    def group_lengths():
+        return tuple(
+            tuple(g.length for g in compute_block_geometry(
+                backend.last_layout, _PANEL_SEQ).groups)
+            for backend in engine._sparse_backends
+            if hasattr(backend, "last_layout"))
+
+    return tuner, rng, group_lengths
+
+
+@pytest.mark.parity
+def test_compiled_replay_bitwise_across_panel_group_refresh():
+    runs = []
+    for full in (False, True):
+        tuner, rng, group_lengths = _panel_tuner(full)
+        if not full:
+            tuner.capture = None
+        losses, groups = [], []
+        try:
+            for _ in range(3 * _PANEL_INTERVAL):
+                ids = rng.integers(0, tuner.model.config.vocab_size,
+                                   size=(2, _PANEL_SEQ))
+                losses.append(tuner.step(ids)[0])
+                groups.append(group_lengths())
+        finally:
+            tuner.engine.uninstall(tuner.model)
+        params = [p.data.copy() for p in tuner.optimizer.params]
+        runs.append((losses, params, groups, tuner.capture))
+    (base_losses, base_params, _), (losses, params, groups, capture) = (
+        runs[0][:3], runs[1])
+    # The refreshes moved the layouts between different sets of groups ...
+    assert groups[0] != groups[_PANEL_INTERVAL]
+    assert groups[0] == groups[2 * _PANEL_INTERVAL]
+    # ... and the compiled run re-compiled and replayed on both sides of
+    # them (the first step after a layout change falls back to the
+    # interpreted step and re-captures).
+    assert capture.full_captures >= 2, capture.full_fail_reason
+    assert capture.full_replays >= 3, capture.full_fail_reason
+    assert losses == base_losses
+    for a, b in zip(base_params, params):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.alloc
+def test_panel_layout_steady_replay_allocates_nothing():
+    tuner, rng, group_lengths = _panel_tuner(full=True,
+                                             schedule=_PANEL_SCHEDULE[1:])
+    ids = rng.integers(0, tuner.model.config.vocab_size, size=(2, _PANEL_SEQ))
+    capture = tuner.capture
+    try:
+        tuner.step(ids)                            # warm-up (refresh)
+        tuner.step(ids)                            # capture + full compile
+        assert capture.full_captures == 1, capture.full_fail_reason
+        assert max(len(lengths) for lengths in group_lengths()) >= 4
+        tuner.step(ids)                            # compiled replay
+        assert capture.full_replays == 1
+        assert capture.last_step_allocations == 0
+    finally:
+        tuner.engine.uninstall(tuner.model)
